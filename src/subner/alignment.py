@@ -1,5 +1,5 @@
 """Label propagation (root word -> subtokens), clubbing (subtokens -> root
-word), and fixed-length padding/truncation for batched training."""
+word), and word-boundary truncation with batch-local padding for training."""
 
 from __future__ import annotations
 
@@ -70,17 +70,30 @@ class PaddedRow:
 
 @dataclass
 class PaddedBatch:
-    ids: np.ndarray            # (batch, max_len)
+    ids: np.ndarray            # (batch, width), width = longest kept row
     label_indices: np.ndarray
     mask: np.ndarray
-    encodings: list[SubwordEncoding]
     truncated_rows: int
+
+
+def _kept_length(encoding: SubwordEncoding, max_len: int) -> int:
+    """Subtokens left after truncating to at most max_len at a word boundary
+    (a word's subtoken group is never split)."""
+    keep = len(encoding.ids)
+    if keep <= max_len:
+        return keep
+    keep = 0
+    for _, end in encoding.word_groups():
+        if end > max_len:
+            break
+        keep = end
+    return keep
 
 
 def pad_truncate(encoding: SubwordEncoding, label_indices, max_len: int,
                  pad_id: int, pad_label_index: int = 0) -> PaddedRow:
-    """Fixed-length row: truncate at a word boundary (a word's subtoken group
-    is never split), then right-pad; mask marks real positions."""
+    """Fixed-length row: truncate at a word boundary, then right-pad; mask
+    marks real positions."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if len(label_indices) != len(encoding.word_ids):
@@ -88,35 +101,32 @@ def pad_truncate(encoding: SubwordEncoding, label_indices, max_len: int,
             f"{len(label_indices)} label indices for "
             f"{len(encoding.word_ids)} subtokens"
         )
-    keep = len(encoding.ids)
-    truncated = False
-    if keep > max_len:
-        truncated = True
-        keep = 0
-        for start, end in encoding.word_groups():
-            if end > max_len:
-                break
-            keep = end
+    keep = _kept_length(encoding, max_len)
     ids = np.full(max_len, pad_id, dtype=np.int64)
     labels = np.full(max_len, pad_label_index, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.float64)
     ids[:keep] = encoding.ids[:keep]
     labels[:keep] = label_indices[:keep]
     mask[:keep] = 1.0
-    return PaddedRow(ids, labels, mask, truncated)
+    return PaddedRow(ids, labels, mask, keep < len(encoding.ids))
 
 
 def make_padded_batch(rows, max_len: int, pad_id: int,
                       pad_label_index: int = 0) -> PaddedBatch:
-    """Stack (encoding, label_indices) pairs into a fixed-length batch."""
+    """Stack (encoding, label_indices) pairs into a batch padded only to its
+    longest row after word-boundary truncation at max_len."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    width = max([_kept_length(enc, max_len) for enc, _ in rows] + [1])
+    # Every kept length is <= width <= max_len, so truncating at width keeps
+    # what truncating at max_len keeps and flags the same rows as truncated.
     padded = [
-        pad_truncate(enc, labels, max_len, pad_id, pad_label_index)
+        pad_truncate(enc, labels, width, pad_id, pad_label_index)
         for enc, labels in rows
     ]
     return PaddedBatch(
         ids=np.stack([p.ids for p in padded]),
         label_indices=np.stack([p.label_indices for p in padded]),
         mask=np.stack([p.mask for p in padded]),
-        encodings=[enc for enc, _ in rows],
         truncated_rows=sum(p.truncated for p in padded),
     )

@@ -232,6 +232,7 @@ def _run_training(train_path, val_path, tokenizer_spec, arch, kv, seed,
         "best_epoch": history.best_epoch,
         "truncated_rows": history.truncated_rows,
         "train_seconds": wall,
+        "epoch_seconds": history.seconds,
         "checkpoint": ckpt_path,
     }
     atomic_write_text(os.path.join(out_dir, f"{run_name}.run.json"),

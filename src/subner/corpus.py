@@ -64,15 +64,20 @@ class LabelSet:
             raise ValueError(f"label set must contain {OUTSIDE!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
+        object.__setattr__(self, "_index",
+                           {label: i for i, label in enumerate(self.labels)})
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self._index[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not in label set") from None
 
     def __len__(self):
         return len(self.labels)
 
     def __contains__(self, label):
-        return label in self.labels
+        return label in self._index
 
 
 @dataclass(frozen=True)

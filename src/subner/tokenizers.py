@@ -255,6 +255,11 @@ class PrecomputedSegmenter:
             raise InvariantViolation(
                 -1, "precomputed segmentations require a corpus position"
             )
+        if not 0 <= index < len(self.encodings):
+            raise InvariantViolation(
+                index, f"external segmentation has {len(self.encodings)} "
+                       f"records, none for this sentence"
+            )
         enc = self.encodings[index]
         if enc.n_words != len(words):
             raise InvariantViolation(

@@ -118,7 +118,18 @@ def test_make_padded_batch():
         (enc_from_word_ids([0]), [2]),
     ]
     batch = make_padded_batch(rows, max_len=3, pad_id=7)
-    assert batch.ids.shape == (2, 3)
+    # padded to the longest row, not to max_len
+    assert batch.ids.shape == (2, 2)
     assert batch.mask.sum() == 3
     assert batch.truncated_rows == 0
-    assert np.array_equal(batch.label_indices[0], [1, 1, 0])
+    assert np.array_equal(batch.label_indices[0], [1, 1])
+    assert np.array_equal(batch.ids[1], [0, 7])
+    assert np.array_equal(batch.label_indices[1], [2, 0])
+
+    # the longest row is cut at a word boundary, so the width is its kept
+    # length (2 of 5 subtokens), below max_len
+    rows.append((enc_from_word_ids([0, 0, 1, 1, 1]), [3] * 5))
+    batch = make_padded_batch(rows, max_len=4, pad_id=7)
+    assert batch.ids.shape == (3, 2)
+    assert batch.truncated_rows == 1
+    assert batch.mask[2].tolist() == [1, 1]

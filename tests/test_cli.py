@@ -103,6 +103,9 @@ def test_train_artifacts(trained):
     record = json.loads((out / "cnn.run.json").read_text())
     assert record["arch"] == "CNN"
     assert record["param_count"] > 0
+    assert len(record["epoch_seconds"]) == record["epochs_run"]
+    assert all(s > 0 for s in record["epoch_seconds"])
+    assert sum(record["epoch_seconds"]) <= record["train_seconds"]
 
 
 def test_train_rerun_byte_identical(trained, synth_dir, tmp_path):
@@ -147,6 +150,21 @@ def test_eval_corrupt_checkpoint_exit_4(trained, synth_dir, tmp_path, capsys):
     ])
     assert code == 4
     assert "checksum" in capsys.readouterr().err
+
+
+def test_eval_header_missing_key_exit_4(trained, synth_dir, tmp_path, capsys):
+    from test_taggers import resign_header
+
+    out, _ = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes((out / "cnn.ckpt").read_bytes())
+    resign_header(bad, lambda header: header.pop("tensors"))
+    code = main([
+        "eval", "--checkpoint", str(bad),
+        "--test", str(synth_dir / "test.conll"),
+    ])
+    assert code == 4
+    assert "tensors" in capsys.readouterr().err
 
 
 def test_predict(trained, tmp_path, capsys):
@@ -220,8 +238,9 @@ def test_compare_single_cell(synth_dir, tmp_path):
     assert len(tsv) == 2
 
 
-def test_external_segmentation_training(synth_dir, tmp_path):
-    # build external segmentations equivalent to word-mode ids
+def write_word_segmentation(synth_dir, tmp_path, drop_last=False):
+    """External segmentations equivalent to word-mode ids, one JSONL file
+    per split; `drop_last` leaves each file one sentence short."""
     from subner.corpus import parse_conll
     from subner.tokenizers import build_word_vocab, segment_sentence
 
@@ -229,14 +248,19 @@ def test_external_segmentation_training(synth_dir, tmp_path):
     test_corpus = parse_conll((synth_dir / "test.conll").read_text(), "test")
     vocab = build_word_vocab(train_corpus, 1)
     for corpus, name in ((train_corpus, "train"), (test_corpus, "test")):
+        sentences = corpus.sentences[:-1] if drop_last else corpus.sentences
         with open(tmp_path / f"{name}.jsonl", "w", encoding="utf-8") as fh:
-            for sent in corpus:
+            for sent in sentences:
                 enc = segment_sentence(sent.words, vocab, "word")
                 fh.write(json.dumps({
                     "subtokens": list(enc.subtokens),
                     "ids": list(enc.ids),
                     "word_ids": list(enc.word_ids),
                 }) + "\n")
+
+
+def test_external_segmentation_training(synth_dir, tmp_path, capsys):
+    write_word_segmentation(synth_dir, tmp_path)
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
@@ -251,6 +275,30 @@ def test_external_segmentation_training(synth_dir, tmp_path):
         "--seg", str(tmp_path / "test.jsonl"),
     ])
     assert code == 0
+
+    write_word_segmentation(synth_dir, tmp_path, drop_last=True)
+    code = main([
+        "eval", "--checkpoint", str(out / "ext.ckpt"),
+        "--test", str(synth_dir / "test.conll"),
+        "--seg", str(tmp_path / "test.jsonl"),
+    ])
+    assert code == 4
+    assert "external segmentation has 29 records" in capsys.readouterr().err
+
+
+def test_external_segmentation_too_short_train_exit_3(synth_dir, tmp_path,
+                                                      capsys):
+    write_word_segmentation(synth_dir, tmp_path, drop_last=True)
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", "external",
+        "--seg-train", str(tmp_path / "train.jsonl"),
+        "--seed", "1", "--out", str(out), "--run-name", "ext",
+    ])
+    assert code == 3
+    assert "sentence 59: external segmentation has 59 records" in \
+        capsys.readouterr().err
 
 
 def test_malformed_corpus_exit_2(tmp_path, capsys):

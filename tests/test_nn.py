@@ -125,6 +125,51 @@ def test_lstm_grad_check():
     assert err < 1e-4
 
 
+def lstm_step_by_step(x, W, U, b, dh_seq):
+    """Reference LSTM: every product and every weight-gradient outer product
+    taken one time step at a time. Returns (h_seq, dx, dW, dU, db)."""
+    h = U.shape[0]
+    steps, h_prev, c_prev = [], np.zeros(h), np.zeros(h)
+    for x_t in x:
+        a = x_t @ W + h_prev @ U + b
+        i, f = nn.sigmoid(a[:h]), nn.sigmoid(a[h:2 * h])
+        g, o = np.tanh(a[2 * h:3 * h]), nn.sigmoid(a[3 * h:])
+        c = f * c_prev + i * g
+        steps.append((x_t, h_prev, c_prev, i, f, g, o, np.tanh(c)))
+        h_prev, c_prev = o * np.tanh(c), c
+    dx = np.zeros_like(x)
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+    dh_next, dc_next = np.zeros(h), np.zeros(h)
+    for t in range(len(x) - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, hc = steps[t]
+        dh = dh_seq[t] + dh_next
+        dc = dh * o * (1.0 - hc * hc) + dc_next
+        da = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * hc * o * (1.0 - o)])
+        dW += np.outer(x_t, da)
+        dU += np.outer(h_prev, da)
+        db += da
+        dx[t] = da @ W.T
+        dh_next, dc_next = da @ U.T, dc * f
+    h_seq = np.array([s[6] * s[7] for s in steps]).reshape(len(x), h)
+    return h_seq, dx, dW, dU, db
+
+
+@pytest.mark.parametrize("length", [0, 1, 9])
+def test_lstm_matches_step_by_step_reference(length):
+    # the hoisted GEMMs only reorder sums, so agreement is to rounding
+    rng = np.random.default_rng(length)
+    d, h = 6, 5
+    W, U, b = nn.init_lstm_params(rng, d, h)
+    x = rng.normal(size=(length, d))
+    dh_seq = rng.normal(size=(length, h))
+    h_seq, cache = nn.lstm_forward(x, W, U, b)
+    got = (h_seq,) + nn.lstm_backward(cache, dh_seq)
+    for actual, expected in zip(got, lstm_step_by_step(x, W, U, b, dh_seq)):
+        assert actual.shape == expected.shape
+        assert np.allclose(actual, expected, rtol=1e-12, atol=1e-14)
+
+
 def test_bilstm_zero_weights():
     x = np.random.default_rng(8).normal(size=(3, 2))
     zeros = (np.zeros((2, 8)), np.zeros((2, 8)), np.zeros(8))

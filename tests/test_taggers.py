@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,9 @@ from subner.errors import (
 )
 from subner.metrics import evaluate
 from subner.taggers import (
+    ARCHS,
+    CHECKPOINT_MAGIC,
+    HEADER_KEYS,
     Hyperparams,
     TrainConfig,
     build_model,
@@ -220,3 +227,79 @@ def test_train_rejects_unknown_tags(toy):
     bad = parse_conll("x\tB-UNSEEN\n\n")
     with pytest.raises(LabelMismatch):
         train(model, bad, None, seg, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_ignores_padding(toy, arch):
+    # one sentence, so a max_len above its length can only add padding
+    corpus, labels, vocab, seg = toy
+    one = parse_conll(TOY.split("\n\n")[1], "train")
+    n_subtokens = len(seg.encode(one.sentences[0].words).ids)
+    runs = []
+    for max_len in (n_subtokens, 128):
+        model = build_model(arch, small_hyper(len(labels)), vocab, labels, 6,
+                            tokenizer_mode="word")
+        config = TrainConfig(epochs=3, batch_size=4, max_len=max_len, seed=6)
+        runs.append(train(model, one, None, seg, config))
+    (short, short_history), (long, long_history) = runs
+    assert short_history.train_loss == long_history.train_loss
+    for name in short.params:
+        assert np.array_equal(short.params[name], long.params[name]), name
+
+
+def resign_header(path, edit):
+    """Rewrite a checkpoint's JSON header with `edit(header)` and sign the
+    result with a valid checksum, so only the header checks can reject it."""
+    blob = path.read_bytes()
+    offset = len(CHECKPOINT_MAGIC)
+    version, header_len = struct.unpack_from("<II", blob, offset)
+    start = offset + 8
+    header = json.loads(blob[start:start + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = (CHECKPOINT_MAGIC + struct.pack("<II", version, len(header_bytes))
+            + header_bytes + blob[start + header_len:-8])
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+
+@pytest.mark.parametrize("key", HEADER_KEYS)
+def test_checkpoint_header_missing_key(tmp_path, toy, key):
+    _, labels, vocab, _ = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    resign_header(path, lambda header: header.pop(key))
+    with pytest.raises(CorruptCheckpoint, match=key):
+        load_checkpoint(path)
+
+
+HEADER_EDITS = {
+    "other_arch": lambda header: header.update(
+        arch=next(a for a in ARCHS if a != header["arch"])),
+    "embed_dim": lambda header: header["hyper"].update(embed_dim=17),
+    "tensor_name": lambda header: header["tensors"][0].__setitem__(0, "x"),
+    "tensor_shape": lambda header: header["tensors"][0][1].append(1),
+    "tensor_dropped": lambda header: header["tensors"].pop(),
+    "vocab_size": lambda header: header.update(
+        vocab_size=header["vocab_size"] + 1),
+    "label_dropped": lambda header: header["labels"].pop(),
+    "hyper_unknown_key": lambda header: header["hyper"].update(depth=2),
+    "pad_id": lambda header: header.update(
+        pad_id=(header["pad_id"] + 1) % header["vocab_size"]),
+    "unk_token_missing": lambda header: header.update(unk_token="[NONE]"),
+}
+
+
+@pytest.mark.parametrize("edit", HEADER_EDITS.values(), ids=HEADER_EDITS)
+def test_checkpoint_header_disagrees_with_arch(tmp_path, toy, edit):
+    _, labels, vocab, _ = toy
+    for arch in ARCHS:
+        model = build_model(arch, small_hyper(len(labels)), vocab, labels, 0,
+                            tokenizer_mode="word")
+        path = tmp_path / f"{arch}.ckpt"
+        save_checkpoint(model, path)
+        load_checkpoint(path)
+        resign_header(path, edit)
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)

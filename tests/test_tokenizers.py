@@ -217,3 +217,5 @@ def test_precomputed_segmenter_requires_index():
         seg.encode(["word"])
     with pytest.raises(InvariantViolation):
         seg.encode(["two", "words"], index=0)
+    with pytest.raises(InvariantViolation, match="sentence 1: .* 1 records"):
+        seg.encode(["word"], index=1)
