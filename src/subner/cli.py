@@ -60,7 +60,7 @@ def _hyper_from_kv(kv, num_labels):
     return taggers_mod.Hyperparams(**kwargs)
 
 
-def _build_segmenters(spec, train_corpus, args_vocab=None):
+def _build_segmenters(spec, train_corpus):
     """Resolve a tokenizer spec into per-split segmenters.
 
     Specs: `word`, `wordpiece:<vocab path>`,
@@ -76,35 +76,17 @@ def _build_segmenters(spec, train_corpus, args_vocab=None):
         seg = tok_mod.VocabSegmenter(vocab, "subword")
         return seg, seg, seg, spec
     if spec == "wordpiece":
-        if not args_vocab:
-            raise SubnerError("wordpiece tokenizer needs --vocab")
-        vocab = tok_mod.load_vocab(args_vocab)
-        seg = tok_mod.VocabSegmenter(vocab, "subword")
-        return seg, seg, seg, f"wordpiece:{args_vocab}"
+        raise SubnerError("wordpiece tokenizer needs --vocab")
     if spec.startswith("external:"):
-        paths = spec.split(":", 1)[1].split(",")
-        segs = []
-        pad_id = None
-        vocab_size = 0
-        encodings_per_split = []
-        for p in paths:
-            p = p.strip()
-            if not p or p == "-":
-                encodings_per_split.append(None)
-                continue
-            encs = tok_mod.load_external_segmentation(p)
-            encodings_per_split.append(encs)
-            for e in encs:
-                if e.ids:
-                    vocab_size = max(vocab_size, max(e.ids) + 1)
-        pad_id = vocab_size  # one extra id reserved for padding
-        for encs in encodings_per_split:
-            if encs is None:
-                segs.append(None)
-            else:
-                segs.append(tok_mod.PrecomputedSegmenter(encs, pad_id=pad_id))
-        while len(segs) < 3:
-            segs.append(None)
+        paths = [p.strip() for p in spec.split(":", 1)[1].split(",")]
+        splits = [tok_mod.load_external_segmentation(p) if p not in ("", "-")
+                  else None for p in paths]
+        splits += [None] * (3 - len(splits))
+        # one id past the largest in any split is reserved for padding
+        pad_id = max((max(e.ids) + 1 for encs in splits if encs
+                      for e in encs if e.ids), default=0)
+        segs = [tok_mod.PrecomputedSegmenter(encs, pad_id=pad_id)
+                if encs is not None else None for encs in splits]
         return segs[0], segs[1], segs[2], spec
     raise SubnerError(f"unknown tokenizer spec {spec!r}")
 
@@ -167,14 +149,11 @@ def cmd_tokenize(args):
     return 0
 
 
-def _run_training(train_path, val_path, tokenizer_spec, arch, kv, seed,
-                  out_dir, run_name, vocab_flag=None):
-    """Shared by cmd_train and cmd_compare; returns the RunRecord dict."""
-    train_corpus = _read_corpus(train_path, "train")
-    val_corpus = _read_corpus(val_path, "validation") if val_path else None
-    seg_train, seg_val, _, tok_desc = _build_segmenters(
-        tokenizer_spec, train_corpus, vocab_flag
-    )
+def _run_training(train_corpus, val_corpus, tokenizer, arch, kv, seed,
+                  out_dir, run_name):
+    """Shared by cmd_train and cmd_compare: trains on parsed corpora with
+    `_build_segmenters` output; returns (model, RunRecord dict)."""
+    seg_train, seg_val, _, tok_desc = tokenizer
     if seg_train is None:
         raise SubnerError("tokenizer spec provides no training segmentation")
     if val_corpus is not None and seg_val is None:
@@ -237,7 +216,7 @@ def _run_training(train_path, val_path, tokenizer_spec, arch, kv, seed,
     }
     atomic_write_text(os.path.join(out_dir, f"{run_name}.run.json"),
                       json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return record
+    return model, record
 
 
 class TrainingFailure(SubnerError):
@@ -252,8 +231,11 @@ def cmd_train(args):
     if spec == "external":
         seg_paths = [args.seg_train or "-", args.seg_val or "-", "-"]
         spec = "external:" + ",".join(seg_paths)
-    record = _run_training(args.train, args.val, spec, args.arch, kv,
-                           args.seed, args.out, args.run_name)
+    train_corpus = _read_corpus(args.train, "train")
+    val_corpus = _read_corpus(args.val, "validation") if args.val else None
+    tokenizer = _build_segmenters(spec, train_corpus)
+    _, record = _run_training(train_corpus, val_corpus, tokenizer, args.arch,
+                              kv, args.seed, args.out, args.run_name)
     print(f"trained {record['run']}: {record['param_count']} parameters, "
           f"{record['epochs_run']} epochs, checkpoint {record['checkpoint']}")
     return 0
@@ -281,7 +263,6 @@ def cmd_predict(args):
 def cmd_eval(args):
     model = taggers_mod.load_checkpoint(args.checkpoint)
     test_corpus = _read_corpus(args.test, "test")
-    taggers_mod.check_label_compat(model, test_corpus)
     if args.seg:
         segmenter = tok_mod.PrecomputedSegmenter(
             tok_mod.load_external_segmentation(args.seg), pad_id=model.pad_id
@@ -324,29 +305,29 @@ def cmd_compare(args):
         raise SubnerError("grid needs at least one tokenizer.<name> and one arch")
     if "train" not in kv or "test" not in kv:
         raise SubnerError("grid needs train= and test= corpus paths")
-    train_path = resolve(kv["train"])
-    test_path = resolve(kv["test"])
-    val_path = resolve(kv["validation"]) if "validation" in kv else None
     seed = int(kv.get("seed", "0"))
     strategy = ClubbingStrategy.parse(kv.get("strategy", "first"))
+    # inputs load once, before any cell trains, so a bad one exits 2 early
+    train_corpus = _read_corpus(resolve(kv["train"]), "train")
+    val_corpus = (_read_corpus(resolve(kv["validation"]), "validation")
+                  if "validation" in kv else None)
+    test_corpus = _read_corpus(resolve(kv["test"]), "test")
+    resolved = [(name, _build_segmenters(spec, train_corpus))
+                for name, spec in tokenizers]
     os.makedirs(args.out, exist_ok=True)
 
     results = {}   # (tok_name, arch) -> EvalReport or None
-    records = []
     any_ok = False
-    for tok_name, spec in tokenizers:
+    for tok_name, tokenizer in resolved:
+        seg_test = tokenizer[2]
         for arch in archs:
             run_name = f"{tok_name}.{arch}"
             try:
-                record = _run_training(train_path, val_path, spec, arch, kv,
-                                       seed, args.out, run_name)
-                model = taggers_mod.load_checkpoint(record["checkpoint"])
-                test_corpus = _read_corpus(test_path, "test")
-                taggers_mod.check_label_compat(model, test_corpus)
-                train_corpus = _read_corpus(train_path, "train")
-                _, _, seg_test, _ = _build_segmenters(spec, train_corpus)
                 if seg_test is None:
                     raise SubnerError("tokenizer spec provides no test segmentation")
+                model, record = _run_training(train_corpus, val_corpus,
+                                              tokenizer, arch, kv, seed,
+                                              args.out, run_name)
                 report = metrics_mod.evaluate(model, test_corpus, seg_test,
                                               strategy)
                 results[(tok_name, arch)] = report
@@ -363,7 +344,6 @@ def cmd_compare(args):
                 print(f"run {run_name} failed: {exc}", file=sys.stderr)
                 results[(tok_name, arch)] = None
                 record = {"run": run_name, "status": "failed", "error": str(exc)}
-            records.append(record)
             atomic_write_text(os.path.join(args.out, f"{run_name}.run.json"),
                               json.dumps(record, indent=2, sort_keys=True) + "\n")
 
@@ -496,7 +476,8 @@ def build_parser():
     p = sub.add_parser("compare", help="tokenizer x architecture grid run")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare, error_code=EXIT_TRAIN)
+    # every cell's failure is caught; what escapes failed before any cell
+    p.set_defaults(func=cmd_compare, error_code=EXIT_INPUT)
 
     return parser
 

@@ -75,5 +75,9 @@ class CorruptCheckpoint(SubnerError):
     pass
 
 
+class NonFiniteLoss(SubnerError):
+    """Training diverged: a batch loss came out inf or nan."""
+
+
 class UnknownScheme(SubnerError):
     pass

@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 
 from .alignment import ClubbingStrategy, propagate_labels
 from .corpus import OUTSIDE, LabeledCorpus
-from .errors import LabelMismatch, LengthMismatch, UnknownScheme
-from .tokenizers import VocabSegmenter, fertility_stats
+from .errors import LengthMismatch, UnknownScheme
+from .tokenizers import VocabSegmenter, encoding_fertility
+from .tokenizers import fertility_stats  # noqa: F401  (callers use metrics.fertility_stats)
 
 
 @dataclass
@@ -193,18 +194,15 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     """
     from . import taggers  # local import; taggers depends on this module
 
-    for sent in corpus:
-        for tag in sent.tags:
-            if tag not in model.labels:
-                raise LabelMismatch(
-                    f"corpus tag {tag!r} not in model label set"
-                )
+    taggers.check_label_compat(model, corpus)
     counts = ConfusionCounts()
     sub_total = 0
     sub_correct = 0
     all_pred, all_gold = [], []
+    encodings = []
     for idx, sent in enumerate(corpus):
         enc = segmenter.encode(sent.words, index=idx)
+        encodings.append(enc)
         word_tags, subtoken_tags = taggers.predict_tags_for_encoding(
             model, enc, strategy
         )
@@ -220,7 +218,7 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     if span_scheme is not None:
         report.span = span_metrics(all_pred, all_gold, span_scheme)
     if isinstance(segmenter, VocabSegmenter):
-        report.fertility = fertility_stats(corpus, segmenter.vocab, segmenter.mode)
+        report.fertility = encoding_fertility(encodings, segmenter.vocab.unk_token)
     return report
 
 

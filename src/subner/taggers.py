@@ -26,6 +26,7 @@ from .errors import (
     InvalidHyper,
     LabelMismatch,
     MissingSpecial,
+    NonFiniteLoss,
     VersionMismatch,
 )
 from .metrics import token_confusion, token_metrics
@@ -276,7 +277,8 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
           val_segmenter=None) -> tuple[TaggerModel, TrainHistory]:
     """Seeded shuffle, propagated labels, masked CE, RMSProp; keeps the
     best-validation parameters when a validation split is given (early
-    stopping, configurable patience).
+    stopping, configurable patience). A non-finite batch loss raises
+    NonFiniteLoss.
 
     Rows are truncated at a word boundary to at most `max_len` subtokens and
     each row runs forward and backward over its kept subtokens only; the
@@ -286,12 +288,8 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     if len(train_corpus) == 0:
         raise EmptySplit("empty training split")
     for corpus in (train_corpus, val_corpus):
-        if corpus is None:
-            continue
-        for sent in corpus:
-            for tag in sent.tags:
-                if tag not in model.labels:
-                    raise LabelMismatch(f"tag {tag!r} not in model label set")
+        if corpus is not None:
+            check_label_compat(model, corpus)
 
     def encode_rows(corpus, seg):
         rows = []
@@ -332,6 +330,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             if denom == 0.0:
                 continue
             grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+            batch_loss = 0.0
             for row in range(batch.ids.shape[0]):
                 # real positions are a prefix; train on them alone, as
                 # inference sees the sentence
@@ -344,8 +343,13 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                     batch.mask[row, :keep], denom=denom,
                 )
                 nll_total += loss * denom
+                batch_loss += loss
                 for name, g in backward(model, cache, dlogits).items():
                     grads[name] += g
+            if not np.isfinite(batch_loss):
+                raise NonFiniteLoss(
+                    f"epoch {epoch + 1}: batch loss is {batch_loss}"
+                )
             mask_total += denom
             if config.grad_clip is not None:
                 _clip_grads(grads, config.grad_clip)
@@ -508,11 +512,12 @@ def load_checkpoint(path) -> TaggerModel:
 
 
 def check_label_compat(model: TaggerModel, corpus: LabeledCorpus):
-    """Evaluation guard: every corpus tag must exist in the model label set."""
+    """Training and evaluation guard: every corpus tag must exist in the
+    model label set."""
     for sent in corpus:
         for tag in sent.tags:
             if tag not in model.labels:
                 raise LabelMismatch(
-                    f"corpus tag {tag!r} not in checkpoint label set "
+                    f"corpus tag {tag!r} not in model label set "
                     f"{list(model.labels.labels)}"
                 )

@@ -173,17 +173,25 @@ def segment_sentence(words, vocab: Vocab, mode: str = "subword") -> SubwordEncod
 
 def fertility_stats(corpus: LabeledCorpus, vocab: Vocab,
                     mode: str = "subword") -> FertilityStats:
+    encodings = (segment_sentence(sent.words, vocab, mode) for sent in corpus)
+    return encoding_fertility(encodings, vocab.unk_token)
+
+
+def encoding_fertility(encodings, unk_token: str) -> FertilityStats:
+    """Fertility of segmentations already made; a word counts as unknown
+    when it became the lone `unk_token`."""
     words_total = 0
     subtokens_total = 0
     unk_words = 0
     lengths = Counter()
-    for sent in corpus:
-        enc = segment_sentence(sent.words, vocab, mode)
-        words_total += len(sent)
+    for enc in encodings:
+        words_total += enc.n_words
         subtokens_total += len(enc.subtokens)
         lengths[len(enc.subtokens)] += 1
+        if unk_token not in enc.subtokens:
+            continue
         for start, end in enc.word_groups():
-            if end - start == 1 and enc.subtokens[start] == vocab.unk_token:
+            if end - start == 1 and enc.subtokens[start] == unk_token:
                 unk_words += 1
     return FertilityStats(
         words_total=words_total,

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from subner.cli import main
@@ -205,7 +206,6 @@ def test_compare_grid(synth_dir, tmp_path, capsys):
     assert sub_f1 > word_f1  # OOV-heavy test split favors subwords
 
     # matrix cell equals the standalone train+eval path for the same seed
-    record = json.loads((out / "synthpiece.CNN.run.json").read_text())
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TRAIN_CONFIG + "strategy = majority\n", encoding="utf-8")
     solo = tmp_path / "solo"
@@ -218,7 +218,18 @@ def test_compare_grid(synth_dir, tmp_path, capsys):
     ]) == 0
     assert (solo / "solo.ckpt").read_bytes() == \
         (out / "synthpiece.CNN.ckpt").read_bytes()
-    assert abs(record["metrics"]["macro_f1"] - sub_f1) < 5e-7
+    # compare scores the model in memory; eval of its checkpoint agrees exactly
+    solo_tsv = tmp_path / "solo.tsv"
+    assert main([
+        "eval", "--checkpoint", str(out / "synthpiece.CNN.ckpt"),
+        "--test", str(synth_dir / "test.conll"), "--strategy", "majority",
+        "--out", str(solo_tsv),
+    ]) == 0
+    solo_rows = {line.split("\t")[0]: line.split("\t")[1:]
+                 for line in solo_tsv.read_text().splitlines()}
+    macro_p, macro_r, macro_f1, _ = solo_rows["macro"]
+    assert rows["synthpiece"] == [macro_f1, macro_p, macro_r,
+                                  solo_rows["accuracy"][2]]
 
 
 def test_compare_single_cell(synth_dir, tmp_path):
@@ -236,6 +247,70 @@ def test_compare_single_cell(synth_dir, tmp_path):
     assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 0
     tsv = (out / "report.tsv").read_text().splitlines()
     assert len(tsv) == 2
+
+
+SMALL_GRID_CONFIG = ("epochs = 1\nbatch_size = 8\nmax_len = 16\n"
+                     "embed_dim = 8\nconv_filters = 8\nlstm_hidden = 8\n")
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("wordpiece:no-such-vocab.txt", "no-such-vocab.txt"),
+    ("bogus", "unknown tokenizer spec 'bogus'"),
+])
+def test_compare_bad_tokenizer_exit_2_before_training(synth_dir, tmp_path,
+                                                      capsys, spec, error):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.word-based = word\n"
+        f"tokenizer.synthpiece = wordpiece:{synth_dir / 'vocab.txt'}\n"
+        f"tokenizer.bad = {spec}\n"
+        "archs = CNN,LSTM\n"
+        f"train = {synth_dir / 'train.conll'}\n"
+        f"test = {synth_dir / 'test.conll'}\n"
+        + SMALL_GRID_CONFIG,
+        encoding="utf-8",
+    )
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
+    assert not (out / "report.tsv").exists()
+
+
+def test_compare_malformed_corpus_exit_2_before_training(synth_dir, tmp_path):
+    bad = tmp_path / "bad.conll"
+    bad.write_text("a b O\n", encoding="utf-8")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.word-based = word\n"
+        "archs = CNN,LSTM\n"
+        f"train = {bad}\n"
+        f"test = {synth_dir / 'test.conll'}\n"
+        + SMALL_GRID_CONFIG,
+        encoding="utf-8",
+    )
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
+    assert not list(out.glob("*.ckpt"))
+
+
+def test_train_non_finite_loss_exit_3(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CONFIG.replace("learning_rate = 0.005",
+                                        "learning_rate = 1e300"),
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([
+            "train", "--train", str(synth_dir / "train.conll"),
+            "--val", str(synth_dir / "validation.conll"),
+            "--arch", "CNN", "--tokenizer", "wordpiece",
+            "--vocab", str(synth_dir / "vocab.txt"),
+            "--config", str(cfg), "--out", str(out), "--run-name", "nan",
+        ])
+    assert code == 3
+    assert "epoch 1: batch loss is nan" in capsys.readouterr().err
+    assert not (out / "nan.ckpt").exists()
 
 
 def write_word_segmentation(synth_dir, tmp_path, drop_last=False):
@@ -305,3 +380,27 @@ def test_malformed_corpus_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.conll"
     bad.write_text("a b O\n", encoding="utf-8")
     assert main(["stats", "--input", str(bad)]) == 2
+
+
+def test_compare_external_tokenizers(synth_dir, tmp_path):
+    write_word_segmentation(synth_dir, tmp_path)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
+        "tokenizer.no-test = external:train.jsonl,-,-\n"
+        "archs = CNN\n"
+        f"train = {synth_dir / 'train.conll'}\n"
+        f"test = {synth_dir / 'test.conll'}\n"
+        + SMALL_GRID_CONFIG,
+        encoding="utf-8",
+    )
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 0
+    tsv = (out / "report.tsv").read_text().splitlines()
+    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in tsv[1:]}
+    assert all(0.0 <= float(v) <= 1.0 for v in rows["ext"])
+    assert (out / "ext.CNN.ckpt").exists()
+    assert rows["no-test"] == ["failed"] * 4
+    assert not (out / "no-test.CNN.ckpt").exists()
+    record = json.loads((out / "no-test.CNN.run.json").read_text())
+    assert record["error"] == "tokenizer spec provides no test segmentation"

@@ -11,6 +11,7 @@ from subner.errors import (
     CorruptCheckpoint,
     InvalidHyper,
     LabelMismatch,
+    NonFiniteLoss,
     VersionMismatch,
 )
 from subner.metrics import evaluate
@@ -227,6 +228,16 @@ def test_train_rejects_unknown_tags(toy):
     bad = parse_conll("x\tB-UNSEEN\n\n")
     with pytest.raises(LabelMismatch):
         train(model, bad, None, seg, TrainConfig(epochs=1))
+
+
+def test_train_raises_on_non_finite_loss(toy):
+    corpus, labels, vocab, seg = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLoss, match="epoch 1: batch loss is nan"):
+            train(model, corpus, None, seg, config)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
