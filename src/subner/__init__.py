@@ -1,6 +1,6 @@
 """Subword-tokenized shallow sequence taggers for low-resource NER."""
 
-from .alignment import ClubbingStrategy, club_labels, pad_truncate, propagate_labels
+from .alignment import ClubbingStrategy, club_labels, propagate_labels
 from .corpus import (
     LabeledCorpus,
     LabeledSentence,

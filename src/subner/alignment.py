@@ -61,14 +61,6 @@ def club_labels(subtoken_tags, encoding: SubwordEncoding,
 
 
 @dataclass
-class PaddedRow:
-    ids: np.ndarray            # (max_len,) int64
-    label_indices: np.ndarray  # (max_len,) int64
-    mask: np.ndarray           # (max_len,) float64, 1.0 on real positions
-    truncated: bool
-
-
-@dataclass
 class PaddedBatch:
     ids: np.ndarray            # (batch, width), width = longest kept row
     label_indices: np.ndarray
@@ -90,43 +82,27 @@ def _kept_length(encoding: SubwordEncoding, max_len: int) -> int:
     return keep
 
 
-def pad_truncate(encoding: SubwordEncoding, label_indices, max_len: int,
-                 pad_id: int, pad_label_index: int = 0) -> PaddedRow:
-    """Fixed-length row: truncate at a word boundary, then right-pad; mask
-    marks real positions."""
+def make_padded_batch(rows, max_len: int, pad_id: int) -> PaddedBatch:
+    """Stack (encoding, label_indices) pairs into a batch. Each row is
+    truncated at a word boundary to at most max_len subtokens, then
+    right-padded with `pad_id` (label index 0) to the batch's longest kept
+    row; mask marks real positions."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if len(label_indices) != len(encoding.word_ids):
-        raise LengthMismatch(
-            f"{len(label_indices)} label indices for "
-            f"{len(encoding.word_ids)} subtokens"
-        )
-    keep = _kept_length(encoding, max_len)
-    ids = np.full(max_len, pad_id, dtype=np.int64)
-    labels = np.full(max_len, pad_label_index, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.float64)
-    ids[:keep] = encoding.ids[:keep]
-    labels[:keep] = label_indices[:keep]
-    mask[:keep] = 1.0
-    return PaddedRow(ids, labels, mask, keep < len(encoding.ids))
-
-
-def make_padded_batch(rows, max_len: int, pad_id: int,
-                      pad_label_index: int = 0) -> PaddedBatch:
-    """Stack (encoding, label_indices) pairs into a batch padded only to its
-    longest row after word-boundary truncation at max_len."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    width = max([_kept_length(enc, max_len) for enc, _ in rows] + [1])
-    # Every kept length is <= width <= max_len, so truncating at width keeps
-    # what truncating at max_len keeps and flags the same rows as truncated.
-    padded = [
-        pad_truncate(enc, labels, width, pad_id, pad_label_index)
-        for enc, labels in rows
-    ]
-    return PaddedBatch(
-        ids=np.stack([p.ids for p in padded]),
-        label_indices=np.stack([p.label_indices for p in padded]),
-        mask=np.stack([p.mask for p in padded]),
-        truncated_rows=sum(p.truncated for p in padded),
-    )
+    keeps = [_kept_length(enc, max_len) for enc, _ in rows]
+    shape = (len(rows), max(keeps + [1]))
+    ids = np.full(shape, pad_id, dtype=np.int64)
+    labels = np.zeros(shape, dtype=np.int64)
+    mask = np.zeros(shape, dtype=np.float64)
+    truncated = 0
+    for row, ((enc, label_indices), keep) in enumerate(zip(rows, keeps)):
+        if len(label_indices) != len(enc.word_ids):
+            raise LengthMismatch(
+                f"{len(label_indices)} label indices for "
+                f"{len(enc.word_ids)} subtokens"
+            )
+        ids[row, :keep] = enc.ids[:keep]
+        labels[row, :keep] = label_indices[:keep]
+        mask[row, :keep] = 1.0
+        truncated += keep < len(enc.ids)
+    return PaddedBatch(ids, labels, mask, truncated)

@@ -36,49 +36,54 @@ def _read_corpus(path, split_name="unsplit"):
         return corpus_mod.parse_conll(fh.read(), split_name)
 
 
-def _train_config_from_kv(kv, seed_override=None):
-    kwargs = {}
-    for key in ("epochs", "batch_size", "max_len", "seed", "patience"):
-        if key in kv:
-            kwargs[key] = int(kv[key])
-    for key in ("learning_rate", "rho", "epsilon", "grad_clip"):
-        if key in kv:
-            kwargs[key] = float(kv[key])
-    if "strategy" in kv:
-        kwargs["strategy"] = ClubbingStrategy.parse(kv["strategy"])
+# flat config key -> parser: every TrainConfig field, then every Hyperparams
+# field but num_labels (that one comes from the label set)
+CONFIG_KEYS = {
+    **dict.fromkeys(("epochs", "batch_size", "max_len", "seed", "patience"), int),
+    **dict.fromkeys(("learning_rate", "rho", "epsilon", "grad_clip"), float),
+    "strategy": ClubbingStrategy.parse,
+}
+HYPER_KEYS = dict.fromkeys(("embed_dim", "conv_filters", "conv_kernel",
+                            "lstm_hidden", "bilstm_hidden"), int)
+
+
+def _configs_from_kv(kv, num_labels, seed_override=None):
+    """(TrainConfig, Hyperparams) from flat key=value settings; a key that
+    names neither a training setting nor a model size raises InvalidConfig."""
+    unknown = [key for key in kv if key not in CONFIG_KEYS and key not in HYPER_KEYS]
+    if unknown:
+        raise InvalidConfig(f"unknown config key {', '.join(map(repr, unknown))}")
+    config = {key: CONFIG_KEYS[key](value) for key, value in kv.items()
+              if key in CONFIG_KEYS}
     if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return taggers_mod.TrainConfig(**kwargs)
+        config["seed"] = seed_override
+    hyper = {key: int(value) for key, value in kv.items() if key in HYPER_KEYS}
+    return (taggers_mod.TrainConfig(**config),
+            taggers_mod.Hyperparams(num_labels=num_labels, **hyper))
 
 
-def _hyper_from_kv(kv, num_labels):
-    kwargs = {"num_labels": num_labels}
-    for key in ("embed_dim", "conv_filters", "conv_kernel", "lstm_hidden",
-                "bilstm_hidden"):
-        if key in kv:
-            kwargs[key] = int(kv[key])
-    return taggers_mod.Hyperparams(**kwargs)
-
-
-def _build_segmenters(spec, train_corpus):
+def _build_segmenters(spec, train_corpus, base):
     """Resolve a tokenizer spec into per-split segmenters.
 
     Specs: `word`, `wordpiece:<vocab path>`,
-    `external:<train seg>,<val seg or ->,<test seg or ->`.
-    Returns (train_seg, val_seg, test_seg, description).
+    `external:<train seg>,<val seg or ->,<test seg or ->`; relative paths
+    are taken relative to `base`. Returns (train_seg, val_seg, test_seg,
+    the spec with its paths resolved).
     """
+    kind, colon, rest = spec.partition(":")
     if spec == "word":
         vocab = tok_mod.build_word_vocab(train_corpus, min_freq=1)
         seg = tok_mod.VocabSegmenter(vocab, "word")
         return seg, seg, seg, "word"
-    if spec.startswith("wordpiece:"):
-        vocab = tok_mod.load_vocab(spec.split(":", 1)[1])
-        seg = tok_mod.VocabSegmenter(vocab, "subword")
-        return seg, seg, seg, spec
-    if spec == "wordpiece":
-        raise SubnerError("wordpiece tokenizer needs --vocab")
-    if spec.startswith("external:"):
-        paths = [p.strip() for p in spec.split(":", 1)[1].split(",")]
+    if kind == "wordpiece":
+        if not rest:
+            raise InvalidConfig("wordpiece tokenizer needs --vocab")
+        path = os.path.join(base, rest)  # an absolute path stays as it is
+        seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(path), "subword")
+        return seg, seg, seg, f"wordpiece:{path}"
+    if kind == "external" and colon:
+        paths = [p.strip() for p in rest.split(",")]
+        paths = [p if p in ("", "-") else os.path.join(base, p) for p in paths]
         splits = [tok_mod.load_external_segmentation(p) if p not in ("", "-")
                   else None for p in paths]
         splits += [None] * (3 - len(splits))
@@ -87,8 +92,8 @@ def _build_segmenters(spec, train_corpus):
                       for e in encs if e.ids), default=0)
         segs = [tok_mod.PrecomputedSegmenter(encs, pad_id=pad_id)
                 if encs is not None else None for encs in splits]
-        return segs[0], segs[1], segs[2], spec
-    raise SubnerError(f"unknown tokenizer spec {spec!r}")
+        return segs[0], segs[1], segs[2], "external:" + ",".join(paths)
+    raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,8 @@ def cmd_tokenize(args):
     return 0
 
 
-def _run_training(train_corpus, val_corpus, tokenizer, arch, kv, seed,
-                  out_dir, run_name):
+def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
+                  hyper, out_dir, run_name):
     """Shared by cmd_train and cmd_compare: trains on parsed corpora with
     `_build_segmenters` output; returns (model, RunRecord dict)."""
     seg_train, seg_val, _, tok_desc = tokenizer
@@ -158,33 +163,18 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, kv, seed,
         raise SubnerError("tokenizer spec provides no training segmentation")
     if val_corpus is not None and seg_val is None:
         raise SubnerError("tokenizer spec provides no validation segmentation")
-
-    labels = corpus_mod.build_label_set(train_corpus)
-    config = _train_config_from_kv(kv, seed)
-    hyper = _hyper_from_kv(kv, len(labels))
     if val_corpus is None:
         print("warning: no validation split; early stopping disabled",
               file=sys.stderr)
 
-    vocab = getattr(seg_train, "vocab", None)
-    try:
-        if vocab is not None:
-            model = taggers_mod.build_model(arch, hyper, vocab, labels,
-                                            config.seed,
-                                            tokenizer_mode=seg_train.mode)
-        else:
-            model = taggers_mod.build_model(
-                arch, hyper, None, labels, config.seed,
-                tokenizer_mode="external",
-                vocab_size=seg_train.vocab_size, pad_id=seg_train.pad_id,
-            )
-        t0 = time.perf_counter()
-        model, history = taggers_mod.train(model, train_corpus, val_corpus,
-                                           seg_train, config,
-                                           val_segmenter=seg_val)
-        wall = time.perf_counter() - t0
-    except SubnerError as exc:
-        raise TrainingFailure(str(exc)) from exc
+    model = taggers_mod.build_model(arch, hyper, seg_train.vocab, labels,
+                                    config.seed, tokenizer_mode=seg_train.mode,
+                                    vocab_size=seg_train.vocab_size,
+                                    pad_id=seg_train.pad_id)
+    t0 = time.perf_counter()
+    model, history = taggers_mod.train(model, train_corpus, val_corpus,
+                                       seg_train, config, val_segmenter=seg_val)
+    wall = time.perf_counter() - t0
 
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, f"{run_name}.ckpt")
@@ -219,10 +209,6 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, kv, seed,
     return model, record
 
 
-class TrainingFailure(SubnerError):
-    pass
-
-
 def cmd_train(args):
     kv = parse_kv_file(args.config) if args.config else {}
     spec = args.tokenizer
@@ -233,9 +219,12 @@ def cmd_train(args):
         spec = "external:" + ",".join(seg_paths)
     train_corpus = _read_corpus(args.train, "train")
     val_corpus = _read_corpus(args.val, "validation") if args.val else None
-    tokenizer = _build_segmenters(spec, train_corpus)
+    labels = corpus_mod.build_label_set(train_corpus)
+    config, hyper = _configs_from_kv(kv, len(labels), args.seed)
+    # paths on the command line stay relative to the working directory
+    tokenizer = _build_segmenters(spec, train_corpus, "")
     _, record = _run_training(train_corpus, val_corpus, tokenizer, args.arch,
-                              kv, args.seed, args.out, args.run_name)
+                              labels, config, hyper, args.out, args.run_name)
     print(f"trained {record['run']}: {record['param_count']} parameters, "
           f"{record['epochs_run']} epochs, checkpoint {record['checkpoint']}")
     return 0
@@ -285,40 +274,34 @@ def cmd_compare(args):
     kv = parse_kv_file(args.grid)
     base = os.path.dirname(os.path.abspath(args.grid))
 
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    tokenizers = []
-    for key in kv:
+    specs, settings = {}, {}
+    for key, value in kv.items():
         if key.startswith("tokenizer."):
-            name = key.split(".", 1)[1]
-            spec = kv[key]
-            if spec.startswith("wordpiece:"):
-                spec = "wordpiece:" + resolve(spec.split(":", 1)[1])
-            elif spec.startswith("external:"):
-                paths = [p if p.strip() in ("", "-") else resolve(p.strip())
-                         for p in spec.split(":", 1)[1].split(",")]
-                spec = "external:" + ",".join(paths)
-            tokenizers.append((name, spec))
+            specs[key.split(".", 1)[1]] = value
+        elif key not in ("archs", "train", "validation", "test"):
+            settings[key] = value
     archs = [a.strip() for a in kv.get("archs", "CNN").split(",") if a.strip()]
-    if not tokenizers or not archs:
+    if not specs or not archs:
         raise SubnerError("grid needs at least one tokenizer.<name> and one arch")
     if "train" not in kv or "test" not in kv:
         raise SubnerError("grid needs train= and test= corpus paths")
-    seed = int(kv.get("seed", "0"))
-    strategy = ClubbingStrategy.parse(kv.get("strategy", "first"))
     # inputs load once, before any cell trains, so a bad one exits 2 early
-    train_corpus = _read_corpus(resolve(kv["train"]), "train")
-    val_corpus = (_read_corpus(resolve(kv["validation"]), "validation")
+    train_corpus = _read_corpus(os.path.join(base, kv["train"]), "train")
+    val_corpus = (_read_corpus(os.path.join(base, kv["validation"]), "validation")
                   if "validation" in kv else None)
-    test_corpus = _read_corpus(resolve(kv["test"]), "test")
-    resolved = [(name, _build_segmenters(spec, train_corpus))
-                for name, spec in tokenizers]
+    test_corpus = _read_corpus(os.path.join(base, kv["test"]), "test")
+    labels = corpus_mod.build_label_set(train_corpus)
+    for corpus in (val_corpus, test_corpus):
+        if corpus is not None:
+            taggers_mod.check_label_compat(labels, corpus)
+    config, hyper = _configs_from_kv(settings, len(labels))
+    tokenizers = {name: _build_segmenters(spec, train_corpus, base)
+                  for name, spec in specs.items()}
     os.makedirs(args.out, exist_ok=True)
 
     results = {}   # (tok_name, arch) -> EvalReport or None
     any_ok = False
-    for tok_name, tokenizer in resolved:
+    for tok_name, tokenizer in tokenizers.items():
         seg_test = tokenizer[2]
         for arch in archs:
             run_name = f"{tok_name}.{arch}"
@@ -326,10 +309,10 @@ def cmd_compare(args):
                 if seg_test is None:
                     raise SubnerError("tokenizer spec provides no test segmentation")
                 model, record = _run_training(train_corpus, val_corpus,
-                                              tokenizer, arch, kv, seed,
-                                              args.out, run_name)
+                                              tokenizer, arch, labels, config,
+                                              hyper, args.out, run_name)
                 report = metrics_mod.evaluate(model, test_corpus, seg_test,
-                                              strategy)
+                                              config.strategy)
                 results[(tok_name, arch)] = report
                 record["metrics"] = {
                     "macro_f1": report.macro_f1,
@@ -347,7 +330,7 @@ def cmd_compare(args):
             atomic_write_text(os.path.join(args.out, f"{run_name}.run.json"),
                               json.dumps(record, indent=2, sort_keys=True) + "\n")
 
-    md = _render_markdown(tokenizers, archs, results, strategy)
+    md = _render_markdown(tokenizers, archs, results, config.strategy)
     tsv = _render_tsv(tokenizers, archs, results)
     atomic_write_text(os.path.join(args.out, "report.md"), md)
     atomic_write_text(os.path.join(args.out, "report.tsv"), tsv)
@@ -362,7 +345,7 @@ def _render_markdown(tokenizers, archs, results, strategy):
     ]
     best_f1 = {}
     for arch in archs:
-        cells = [(name, results[(name, arch)]) for name, _ in tokenizers
+        cells = [(name, results[(name, arch)]) for name in tokenizers
                  if results[(name, arch)] is not None]
         if cells:
             best_f1[arch] = max(cells, key=lambda kv: kv[1].macro_f1)[0]
@@ -377,7 +360,7 @@ def _render_markdown(tokenizers, archs, results, strategy):
         "| " + " | ".join(header) + " |",
         "|" + "|".join("---" for _ in header) + "|",
     ]
-    for name, _ in tokenizers:
+    for name in tokenizers:
         row = [name]
         for title, attr in metric_groups:
             for arch in archs:
@@ -399,7 +382,7 @@ def _render_tsv(tokenizers, archs, results):
         cols.extend(f"{arch}.{m}" for m in
                     ("macro_f1", "macro_precision", "macro_recall", "accuracy"))
     lines = ["\t".join(cols)]
-    for name, _ in tokenizers:
+    for name in tokenizers:
         row = [name]
         for arch in archs:
             report = results[(name, arch)]
@@ -492,9 +475,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except TrainingFailure as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAIN
     except (MalformedLine, EmptyCorpus, DuplicateToken, MissingSpecial,
             InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)

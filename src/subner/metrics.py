@@ -194,7 +194,7 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     """
     from . import taggers  # local import; taggers depends on this module
 
-    taggers.check_label_compat(model, corpus)
+    taggers.check_label_compat(model.labels, corpus)
     counts = ConfusionCounts()
     sub_total = 0
     sub_correct = 0
@@ -218,7 +218,7 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     if span_scheme is not None:
         report.span = span_metrics(all_pred, all_gold, span_scheme)
     if isinstance(segmenter, VocabSegmenter):
-        report.fertility = encoding_fertility(encodings, segmenter.vocab.unk_token)
+        report.fertility = encoding_fertility(encodings, segmenter.vocab.unk_id)
     return report
 
 

@@ -289,7 +289,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         raise EmptySplit("empty training split")
     for corpus in (train_corpus, val_corpus):
         if corpus is not None:
-            check_label_compat(model, corpus)
+            check_label_compat(model.labels, corpus)
 
     def encode_rows(corpus, seg):
         rows = []
@@ -511,13 +511,13 @@ def load_checkpoint(path) -> TaggerModel:
     )
 
 
-def check_label_compat(model: TaggerModel, corpus: LabeledCorpus):
+def check_label_compat(labels: LabelSet, corpus: LabeledCorpus):
     """Training and evaluation guard: every corpus tag must exist in the
     model label set."""
     for sent in corpus:
         for tag in sent.tags:
-            if tag not in model.labels:
+            if tag not in labels:
                 raise LabelMismatch(
                     f"corpus tag {tag!r} not in model label set "
-                    f"{list(model.labels.labels)}"
+                    f"{list(labels.labels)}"
                 )

@@ -174,24 +174,30 @@ def segment_sentence(words, vocab: Vocab, mode: str = "subword") -> SubwordEncod
 def fertility_stats(corpus: LabeledCorpus, vocab: Vocab,
                     mode: str = "subword") -> FertilityStats:
     encodings = (segment_sentence(sent.words, vocab, mode) for sent in corpus)
-    return encoding_fertility(encodings, vocab.unk_token)
+    return encoding_fertility(encodings, vocab.unk_id)
 
 
-def encoding_fertility(encodings, unk_token: str) -> FertilityStats:
+def encoding_fertility(encodings, unk_id: int) -> FertilityStats:
     """Fertility of segmentations already made; a word counts as unknown
-    when it became the lone `unk_token`."""
+    when its only subtoken has `unk_id` (word mode keeps an unknown word's
+    text as its subtoken, so the id decides, not the text)."""
     words_total = 0
     subtokens_total = 0
     unk_words = 0
     lengths = Counter()
     for enc in encodings:
-        words_total += enc.n_words
+        n_words = enc.n_words
+        words_total += n_words
         subtokens_total += len(enc.subtokens)
         lengths[len(enc.subtokens)] += 1
-        if unk_token not in enc.subtokens:
+        unk_ids = enc.ids.count(unk_id)
+        if unk_ids == 0:
+            continue
+        if len(enc.ids) == n_words:  # one subtoken per word
+            unk_words += unk_ids
             continue
         for start, end in enc.word_groups():
-            if end - start == 1 and enc.subtokens[start] == unk_token:
+            if end - start == 1 and enc.ids[start] == unk_id:
                 unk_words += 1
     return FertilityStats(
         words_total=words_total,
@@ -241,6 +247,8 @@ class VocabSegmenter:
             raise ValueError(f"unknown segmentation mode {mode!r}")
         self.vocab = vocab
         self.mode = mode
+        self.vocab_size = len(vocab)
+        self.pad_id = vocab.pad_id
 
     def encode(self, words, index: int | None = None) -> SubwordEncoding:
         return segment_sentence(words, self.vocab, self.mode)

@@ -30,7 +30,19 @@ def atomic_write_text(path, text):
 
 
 def atomic_write_bytes(path, data):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, str(path))
+    """Replace `path` with `data` so that a reader sees the old file or the
+    whole new one, also after a crash: the bytes go to a temp file of its
+    own in the same directory, reach the disk, then are renamed over `path`.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

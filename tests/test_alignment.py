@@ -7,7 +7,6 @@ from subner.alignment import (
     ClubbingStrategy,
     club_labels,
     make_padded_batch,
-    pad_truncate,
     propagate_labels,
 )
 from subner.errors import LengthMismatch
@@ -75,41 +74,53 @@ def test_round_trip_property():
 
 
 def test_pad_short_sequence():
-    enc = enc_from_word_ids([0, 1])
-    row = pad_truncate(enc, [0, 1], max_len=4, pad_id=9, pad_label_index=0)
-    assert row.mask.tolist() == [1, 1, 0, 0]
-    assert row.ids.tolist() == [0, 1, 9, 9]
-    assert not row.truncated
+    rows = [(enc_from_word_ids([0, 1]), [0, 1]),
+            (enc_from_word_ids([0, 1, 2, 3]), [1] * 4)]
+    batch = make_padded_batch(rows, max_len=4, pad_id=9)
+    assert batch.mask[0].tolist() == [1, 1, 0, 0]
+    assert batch.ids[0].tolist() == [0, 1, 9, 9]
+    assert batch.label_indices[0].tolist() == [0, 1, 0, 0]
+    assert batch.truncated_rows == 0
 
 
 def test_pad_exact_length():
     enc = enc_from_word_ids([0, 1, 2, 3, 4])
-    row = pad_truncate(enc, [0] * 5, max_len=5, pad_id=9)
-    assert row.mask.tolist() == [1] * 5
-    assert not row.truncated
+    batch = make_padded_batch([(enc, [0] * 5)], max_len=5, pad_id=9)
+    assert batch.mask.tolist() == [[1] * 5]
+    assert batch.truncated_rows == 0
 
 
 def test_truncate_at_word_boundary():
     # word subtoken-group sizes 3, 4, 5: only the first group fits max_len 4
     enc = enc_from_word_ids([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2])
-    row = pad_truncate(enc, list(range(12)), max_len=4, pad_id=99)
-    assert row.truncated
-    assert row.mask.tolist() == [1, 1, 1, 0]
-    assert row.ids.tolist()[:3] == [0, 1, 2]
+    rows = [(enc, list(range(12))), (enc_from_word_ids([0, 1, 2, 3]), [0] * 4)]
+    batch = make_padded_batch(rows, max_len=4, pad_id=99)
+    assert batch.truncated_rows == 1
+    assert batch.mask[0].tolist() == [1, 1, 1, 0]
+    assert batch.ids[0].tolist() == [0, 1, 2, 99]
+    assert batch.label_indices[0].tolist() == [0, 1, 2, 0]
 
 
 def test_truncation_never_splits_groups():
     rng = random.Random(5)
     for _ in range(200):
-        enc = random_encoding(rng, max_words=8, max_fertility=5)
-        if not enc.word_ids:
-            continue
+        rows = [(enc, [0] * len(enc.word_ids)) for enc in
+                (random_encoding(rng, max_words=8, max_fertility=5)
+                 for _ in range(rng.randint(1, 4)))]
         max_len = rng.randint(1, 12)
-        row = pad_truncate(enc, [0] * len(enc.word_ids), max_len, pad_id=0)
-        kept = int(row.mask.sum())
-        if 0 < kept < len(enc.word_ids):
-            # boundary: last kept subtoken ends its word group
-            assert enc.word_ids[kept - 1] != enc.word_ids[kept]
+        batch = make_padded_batch(rows, max_len, pad_id=0)
+        truncated = 0
+        for (enc, _), mask in zip(rows, batch.mask):
+            kept = int(mask.sum())
+            assert mask[:kept].all() and not mask[kept:].any()
+            assert kept <= max_len
+            if kept < len(enc.word_ids):
+                truncated += 1
+                # boundary: the first cut subtoken starts a new word group,
+                # and only a word longer than max_len leaves nothing
+                assert kept == 0 or enc.word_ids[kept - 1] != enc.word_ids[kept]
+                assert kept + enc.word_ids.count(enc.word_ids[kept]) > max_len
+        assert batch.truncated_rows == truncated
 
 
 def test_make_padded_batch():
@@ -133,3 +144,6 @@ def test_make_padded_batch():
     assert batch.ids.shape == (3, 2)
     assert batch.truncated_rows == 1
     assert batch.mask[2].tolist() == [1, 1]
+
+    with pytest.raises(LengthMismatch):
+        make_padded_batch([(enc_from_word_ids([0, 0]), [1])], max_len=3, pad_id=7)

@@ -1,10 +1,15 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subner.cli import main
+from subner.cli import CONFIG_KEYS, HYPER_KEYS, main
+from subner.taggers import Hyperparams, TrainConfig
 
 SYNTH_CONFIG = """
 classes = NEL, NEP
@@ -294,6 +299,77 @@ def test_compare_malformed_corpus_exit_2_before_training(synth_dir, tmp_path):
     assert not list(out.glob("*.ckpt"))
 
 
+def test_config_keys_are_the_dataclass_fields():
+    fields = ({f.name for f in dataclasses.fields(TrainConfig)}
+              | {f.name for f in dataclasses.fields(Hyperparams)})
+    assert set(CONFIG_KEYS) | set(HYPER_KEYS) == fields - {"num_labels"}
+
+
+def test_train_unknown_config_key_exit_2(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CONFIG + "learnig_rate = 5\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--config", str(cfg), "--out", str(out),
+    ])
+    assert code == 2
+    assert "unknown config key 'learnig_rate'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tokenizer, error", [
+    ("wordpiece", "wordpiece tokenizer needs --vocab"),
+    ("bogus", "unknown tokenizer spec 'bogus'"),
+])
+def test_train_bad_tokenizer_exit_2(synth_dir, tmp_path, capsys, tokenizer,
+                                    error):
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", tokenizer, "--out", str(out),
+    ])
+    assert code == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def with_new_tag(src, dst):
+    """Copy a CoNLL file, tagging its first word with a tag no split has."""
+    word, _, rest = src.read_text(encoding="utf-8").partition("\t")
+    dst.write_text(word + "\tB-NEW" + rest[rest.index("\n"):], encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("test", "corpus tag 'B-NEW' not in model label set"),
+    ("validation", "corpus tag 'B-NEW' not in model label set"),
+    ("epoch", "unknown config key 'epoch'"),
+])
+def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
+                                                 bad, error):
+    splits = {name: synth_dir / f"{name}.conll"
+              for name in ("train", "validation", "test")}
+    settings = SMALL_GRID_CONFIG
+    if bad == "epoch":
+        settings += "epoch = 2\n"
+    else:
+        splits[bad] = with_new_tag(splits[bad], tmp_path / f"{bad}.conll")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.word-based = word\n"
+        f"tokenizer.synthpiece = wordpiece:{synth_dir / 'vocab.txt'}\n"
+        "archs = CNN,LSTM\n"
+        + "".join(f"{name} = {path}\n" for name, path in splits.items())
+        + settings,
+        encoding="utf-8",
+    )
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_non_finite_loss_exit_3(synth_dir, tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TRAIN_CONFIG.replace("learning_rate = 0.005",
@@ -404,3 +480,59 @@ def test_compare_external_tokenizers(synth_dir, tmp_path):
     assert not (out / "no-test.CNN.ckpt").exists()
     record = json.loads((out / "no-test.CNN.run.json").read_text())
     assert record["error"] == "tokenizer spec provides no test segmentation"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MISSING = "no-such-file"
+
+# subcommand -> (the input it is given missing or malformed, its arguments
+# given the path of each input)
+SWEEP = {
+    "stats": ("corpus", lambda f: ["--input", f("corpus")]),
+    "synth": ("synth", lambda f: ["--config", f("synth"), "--out", "out"]),
+    "tokenize": ("corpus", lambda f: ["--input", f("corpus"), "--mode", "word"]),
+    "train": ("config", lambda f: ["--train", f("train"), "--config",
+                                   f("config"), "--arch", "CNN", "--out", "out"]),
+    "predict": ("checkpoint", lambda f: ["--checkpoint", f("checkpoint"),
+                                         "--input", f("text")]),
+    "eval": ("corpus", lambda f: ["--checkpoint", f("model"),
+                                  "--test", f("corpus")]),
+    "compare": ("grid", lambda f: ["--grid", f("grid"), "--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("broken", ["missing", "malformed"])
+@pytest.mark.parametrize("command", list(SWEEP))
+def test_every_command_maps_bad_input_to_an_exit_code(
+        command, broken, trained, synth_dir, tmp_path):
+    out, _ = trained
+    good = {
+        "train": synth_dir / "train.conll",
+        "text": tmp_path / "text.txt",
+        "model": out / "cnn.ckpt",
+    }
+    good["text"].write_text("dupur ozbai\n", encoding="utf-8")
+    malformed = {
+        "corpus": "a b O\n",
+        "synth": "classes NEL\n",
+        "config": "epochs = 1\nlearnig_rate = 5\n",
+        "checkpoint": "not a checkpoint",
+        "grid": (f"tokenizer.w = word\ntrain = {good['train']}\n"
+                 f"test = {good['train']}\nepoch = 1\n"),
+    }
+    target, arguments = SWEEP[command]
+    bad = tmp_path / (MISSING if broken == "missing" else f"bad-{target}")
+    if broken == "malformed":
+        bad.write_text(malformed[target], encoding="utf-8")
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subner", command,
+         *arguments(lambda kind: str(bad if kind == target else good[kind]))],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode in (2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if broken == "missing":
+        assert MISSING in proc.stderr

@@ -216,7 +216,7 @@ def test_label_mismatch_on_eval(tmp_path, toy):
                         tokenizer_mode="word")
     other = parse_conll("x\tB-UNSEEN\n\n")
     with pytest.raises(LabelMismatch):
-        check_label_compat(model, other)
+        check_label_compat(model.labels, other)
     with pytest.raises(LabelMismatch):
         evaluate(model, other, seg)
 

@@ -10,6 +10,7 @@ from subner.tokenizers import (
     SubwordEncoding,
     Vocab,
     build_word_vocab,
+    encoding_fertility,
     fertility_stats,
     load_external_segmentation,
     load_vocab,
@@ -173,6 +174,33 @@ def test_fertility_word_mode_is_one():
     corpus = parse_conll("a\tO\nbb\tO\ncc\tO\n\n")
     vocab = build_word_vocab(corpus, min_freq=1)
     assert fertility_stats(corpus, vocab, "word").fertility == 1.0
+
+
+def test_fertility_counts_unk_by_id():
+    train = parse_conll("a\tO\nbb\tO\n\n")
+    test = parse_conll("a\tO\nzz\tO\n\nbb\tO\nyy\tO\nxx\tO\n\n")
+    # word mode keeps an unknown word's text as its subtoken
+    stats = fertility_stats(test, build_word_vocab(train), "word")
+    assert (stats.unk_words, stats.words_total) == (3, 5)
+    assert stats.unk_word_rate == 0.6
+
+    # a word with a subtoken of several pieces next to an unknown word; a
+    # word split into the unk id and a continuation piece is not unknown
+    vocab = make_vocab("b", "##b")
+    corpus = parse_conll("bb\tO\nzz\tO\n[UNK]b\tO\n\n")
+    assert fertility_stats(corpus, vocab, "subword").unk_words == 1
+
+    rng = random.Random(3)
+    encodings = []
+    for _ in range(300):
+        word_ids = [w for w in range(rng.randint(0, 6))
+                    for _ in range(rng.randint(1, 3))]
+        ids = [rng.randint(0, 3) for _ in word_ids]
+        encodings.append(SubwordEncoding(tuple(map(str, ids)), tuple(ids),
+                                         tuple(word_ids)))
+    expected = sum(1 for enc in encodings for start, end in enc.word_groups()
+                   if end - start == 1 and enc.ids[start] == 1)
+    assert encoding_fertility(encodings, 1).unk_words == expected
 
 
 def _write_jsonl(path, records):
