@@ -160,9 +160,9 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
     `_build_segmenters` output; returns (model, RunRecord dict)."""
     seg_train, seg_val, _, tok_desc = tokenizer
     if seg_train is None:
-        raise SubnerError("tokenizer spec provides no training segmentation")
+        raise InvalidConfig("tokenizer spec provides no training segmentation")
     if val_corpus is not None and seg_val is None:
-        raise SubnerError("tokenizer spec provides no validation segmentation")
+        raise InvalidConfig("tokenizer spec provides no validation segmentation")
     if val_corpus is None:
         print("warning: no validation split; early stopping disabled",
               file=sys.stderr)
@@ -283,6 +283,10 @@ def cmd_compare(args):
     archs = [a.strip() for a in kv.get("archs", "CNN").split(",") if a.strip()]
     if not specs or not archs:
         raise SubnerError("grid needs at least one tokenizer.<name> and one arch")
+    unknown = [a for a in archs if a not in taggers_mod.ARCHS]
+    if unknown:
+        raise InvalidConfig(f"unknown architecture {', '.join(map(repr, unknown))}; "
+                            f"expected one of {', '.join(taggers_mod.ARCHS)}")
     if "train" not in kv or "test" not in kv:
         raise SubnerError("grid needs train= and test= corpus paths")
     # inputs load once, before any cell trains, so a bad one exits 2 early

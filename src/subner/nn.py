@@ -6,9 +6,18 @@ backward pass is verifiable against central finite differences (see
 grad_check). The LSTM computes its input projection and its input and
 weight gradients as one matrix product over all steps; only the products
 with the recurrent weights run once per step.
+
+The embedding gradient is row-sparse: `embedding_row_grads` returns only the
+rows a sequence touches (`RowGrad`), and `rmsprop_step` updates only those
+rows of the table, so a training step costs the same with a 100k-entry
+vocabulary as with a 1k one (apart from the decay of the mean-square
+accumulator, one multiply over the table). `embedding_backward` scatters
+the same rows into the dense table.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +49,31 @@ def embedding_forward(ids, table):
     return table[ids]
 
 
+class RowGrad(NamedTuple):
+    """Gradient of a table that is zero outside `rows`: `values[j]` is the
+    gradient of row `rows[j]`; `rows` is sorted and holds no repeats."""
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def embedding_row_grads(ids, grad_out) -> RowGrad:
+    """Row-sparse embedding gradient: the sorted unique ids and, for each,
+    the sum of the output grads at positions holding it, added in position
+    order."""
+    rows, inverse = np.unique(np.asarray(ids, dtype=np.int64),
+                              return_inverse=True)
+    values = np.zeros((rows.size, grad_out.shape[-1]), dtype=grad_out.dtype)
+    np.add.at(values, inverse.reshape(-1),
+              grad_out.reshape(-1, grad_out.shape[-1]))
+    return RowGrad(rows, values)
+
+
 def embedding_backward(ids, grad_out, vocab_size):
-    """Gradient of a table row is the sum of output grads at positions
-    holding that id."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """Dense (vocab_size, dim) form of `embedding_row_grads`: rows no id
+    touches are zero."""
+    rows, values = embedding_row_grads(ids, grad_out)
     dtable = np.zeros((vocab_size, grad_out.shape[-1]), dtype=grad_out.dtype)
-    np.add.at(dtable, ids, grad_out)
+    dtable[rows] = values
     return dtable
 
 
@@ -268,15 +296,29 @@ class RmspropState:
 
 
 def rmsprop_step(params, grads, state: RmspropState):
-    """s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s)+eps), elementwise."""
+    """s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s)+eps), elementwise.
+
+    A `RowGrad` updates its rows only, after decaying the whole of `s`:
+    that is exactly the dense step with a zero gradient elsewhere, where
+    (1-rho)*0*0 leaves s and lr*0/(sqrt(s)+eps) leaves p as they are."""
     for name, g in grads.items():
         p = params[name]
-        if g.shape != p.shape:
+        rows = None
+        if isinstance(g, RowGrad):
+            rows, g = g
+            if g.shape != (rows.size,) + p.shape[1:]:
+                raise ShapeMismatch(f"row grad/param shape mismatch for {name!r}")
+        elif g.shape != p.shape:
             raise ShapeMismatch(f"grad/param shape mismatch for {name!r}")
         s = state.s[name]
         s *= state.rho
-        s += (1.0 - state.rho) * g * g
-        p -= state.learning_rate * g / (np.sqrt(s) + state.epsilon)
+        if rows is None:
+            s += (1.0 - state.rho) * g * g
+            p -= state.learning_rate * g / (np.sqrt(s) + state.epsilon)
+        else:
+            s_rows = s[rows] + (1.0 - state.rho) * g * g
+            s[rows] = s_rows
+            p[rows] -= state.learning_rate * g / (np.sqrt(s_rows) + state.epsilon)
 
 
 # ---------------------------------------------------------------------------

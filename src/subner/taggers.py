@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -49,8 +50,9 @@ class Hyperparams:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value < 1:
-                raise InvalidHyper(f"{name} must be positive, got {value}")
+            if not isinstance(value, int) or value < 1:
+                raise InvalidHyper(f"{name} must be a positive integer, "
+                                   f"got {value!r}")
         if self.conv_kernel % 2 == 0:
             raise InvalidHyper("conv_kernel must be odd (same padding)")
 
@@ -216,7 +218,9 @@ def forward(model: TaggerModel, ids):
     return logits, (ids, arch_cache, dense_cache)
 
 
-def backward(model: TaggerModel, cache, dlogits) -> dict[str, np.ndarray]:
+def backward(model: TaggerModel, cache, dlogits) -> dict:
+    """Gradients by parameter name; "embed" is a row-sparse `nn.RowGrad`
+    over the sentence's ids, every other one a dense array."""
     ids, arch_cache, dense_cache = cache
     dfeat, dW, db = nn.dense_backward(dense_cache, dlogits)
     grads = {"dense_W": dW, "dense_b": db}
@@ -230,7 +234,7 @@ def backward(model: TaggerModel, cache, dlogits) -> dict[str, np.ndarray]:
         demb, g_fw, g_bw = nn.bilstm_backward(arch_cache, dfeat)
         grads.update(lstm_fw_W=g_fw[0], lstm_fw_U=g_fw[1], lstm_fw_b=g_fw[2])
         grads.update(lstm_bw_W=g_bw[0], lstm_bw_U=g_bw[1], lstm_bw_b=g_bw[2])
-    grads["embed"] = nn.embedding_backward(ids, demb, model.vocab_size)
+    grads["embed"] = nn.embedding_row_grads(ids, demb)
     return grads
 
 
@@ -251,12 +255,18 @@ def predict_sentence(model: TaggerModel, words, segmenter,
     return list(zip(words, word_tags))
 
 
-def _clip_grads(grads, max_norm):
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def _clip_grads(grads, max_norm) -> float:
+    """Scales every gradient in place so that their global norm is at most
+    `max_norm`; returns the norm before clipping. A row gradient's rows
+    are all of its table's nonzero entries."""
+    arrays = [g.values if isinstance(g, nn.RowGrad) else g
+              for g in grads.values()]
+    total = np.sqrt(sum(float((g * g).sum()) for g in arrays))
     if total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
+        for g in arrays:
             g *= scale
+    return total
 
 
 def _val_macro_f1(model, val_rows, val_tags, strategy):
@@ -282,7 +292,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
 
     Rows are truncated at a word boundary to at most `max_len` subtokens and
     each row runs forward and backward over its kept subtokens only; the
-    loss is the mean over the batch's kept subtokens."""
+    loss is the mean over the batch's kept subtokens. The embedding
+    gradient of a batch holds only the rows its sentences use, and RMSProp
+    updates only those rows of the table."""
     from .alignment import propagate_labels
 
     if len(train_corpus) == 0:
@@ -329,7 +341,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             denom = float(batch.mask.sum())
             if denom == 0.0:
                 continue
-            grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+            grads = {name: np.zeros_like(p) for name, p in model.params.items()
+                     if name != "embed"}
+            embed_grads = []
             batch_loss = 0.0
             for row in range(batch.ids.shape[0]):
                 # real positions are a prefix; train on them alone, as
@@ -344,12 +358,19 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                 )
                 nll_total += loss * denom
                 batch_loss += loss
-                for name, g in backward(model, cache, dlogits).items():
+                row_grads = backward(model, cache, dlogits)
+                embed_grads.append(row_grads.pop("embed"))
+                for name, g in row_grads.items():
                     grads[name] += g
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(
                     f"epoch {epoch + 1}: batch loss is {batch_loss}"
                 )
+            # the batch's rows, each summed in row order from zero: the same
+            # additions as a dense table that every row's gradient is added to
+            grads["embed"] = nn.embedding_row_grads(
+                np.concatenate([g.rows for g in embed_grads]),
+                np.concatenate([g.values for g in embed_grads]))
             mask_total += denom
             if config.grad_clip is not None:
                 _clip_grads(grads, config.grad_clip)
@@ -419,10 +440,11 @@ HEADER_KEYS = ("arch", "continuation_prefix", "hyper", "labels", "pad_id",
                "vocab_fingerprint", "vocab_size", "vocab_tokens")
 
 
-def _check_header(header) -> tuple[Hyperparams, LabelSet]:
-    """Hyperparameters and labels of a checkpoint header; raises
-    CorruptCheckpoint unless every key is present, the sizes agree and the
-    tensor list is exactly the one the architecture needs."""
+def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
+    """Hyperparameters, labels and tensor shapes of a checkpoint header;
+    raises CorruptCheckpoint unless every key is present, the sizes agree,
+    the tokenizer mode fits the vocab and the tensor list is exactly the one
+    the architecture needs."""
     if not isinstance(header, dict):
         raise CorruptCheckpoint("header is not a JSON object")
     missing = [key for key in HEADER_KEYS if key not in header]
@@ -443,6 +465,10 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet]:
                                         or len(tokens) != vocab_size))
             or hyper.num_labels != len(labels)):
         raise CorruptCheckpoint("header sizes disagree: vocab, pad id or labels")
+    if tokens is not None and header["tokenizer_mode"] not in ("word", "subword"):
+        raise CorruptCheckpoint(
+            f"tokenizer mode {header['tokenizer_mode']!r} cannot segment "
+            f"with a vocab")
     shapes = param_shapes(header["arch"], hyper, vocab_size)
     if header["tensors"] != [[name, list(shape)]
                              for name, shape in sorted(shapes.items())]:
@@ -450,7 +476,7 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet]:
             f"tensor names or shapes do not fit a {header['arch']} with "
             f"these hyperparameters"
         )
-    return hyper, labels
+    return hyper, labels, shapes
 
 
 def _vocab_from_header(header) -> Vocab | None:
@@ -485,13 +511,13 @@ def load_checkpoint(path) -> TaggerModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"bad header: {exc}") from exc
     offset += header_len
-    hyper, labels = _check_header(header)
+    hyper, labels, shapes = _check_header(header)
     params = {}
-    for name, shape in header["tensors"]:
-        size = int(np.prod(shape)) * 4
-        arr = np.frombuffer(blob[offset:offset + size], dtype="<f4")
-        if arr.size != int(np.prod(shape)):
+    for name, shape in sorted(shapes.items()):
+        size = math.prod(shape) * 4
+        if offset + size > len(blob) - 8:
             raise CorruptCheckpoint(f"tensor {name!r} truncated")
+        arr = np.frombuffer(blob, dtype="<f4", count=size // 4, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
         offset += size
     if offset != len(blob) - 8:

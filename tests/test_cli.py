@@ -345,21 +345,25 @@ def with_new_tag(src, dst):
     ("test", "corpus tag 'B-NEW' not in model label set"),
     ("validation", "corpus tag 'B-NEW' not in model label set"),
     ("epoch", "unknown config key 'epoch'"),
+    ("arch", "unknown architecture 'GRU'"),
 ])
 def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
                                                  bad, error):
     splits = {name: synth_dir / f"{name}.conll"
               for name in ("train", "validation", "test")}
     settings = SMALL_GRID_CONFIG
+    archs = "CNN,LSTM"
     if bad == "epoch":
         settings += "epoch = 2\n"
+    elif bad == "arch":
+        archs = "CNN,GRU"
     else:
         splits[bad] = with_new_tag(splits[bad], tmp_path / f"{bad}.conll")
     grid = tmp_path / "grid.cfg"
     grid.write_text(
         "tokenizer.word-based = word\n"
         f"tokenizer.synthpiece = wordpiece:{synth_dir / 'vocab.txt'}\n"
-        "archs = CNN,LSTM\n"
+        f"archs = {archs}\n"
         + "".join(f"{name} = {path}\n" for name, path in splits.items())
         + settings,
         encoding="utf-8",
@@ -437,6 +441,24 @@ def test_external_segmentation_training(synth_dir, tmp_path, capsys):
     assert "external segmentation has 29 records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["training", "validation"])
+def test_train_external_without_segmentation_exit_2(synth_dir, tmp_path,
+                                                    capsys, missing):
+    write_word_segmentation(synth_dir, tmp_path)
+    segs = [] if missing == "training" else ["--seg-train",
+                                             str(tmp_path / "train.jsonl")]
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--val", str(synth_dir / "validation.conll"),
+        "--arch", "CNN", "--tokenizer", "external", *segs, "--out", str(out),
+    ])
+    assert code == 2
+    assert f"tokenizer spec provides no {missing} segmentation" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_external_segmentation_too_short_train_exit_3(synth_dir, tmp_path,
                                                       capsys):
     write_word_segmentation(synth_dir, tmp_path, drop_last=True)
@@ -464,6 +486,7 @@ def test_compare_external_tokenizers(synth_dir, tmp_path):
     grid.write_text(
         "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
         "tokenizer.no-test = external:train.jsonl,-,-\n"
+        "tokenizer.no-train = external:-,-,test.jsonl\n"
         "archs = CNN\n"
         f"train = {synth_dir / 'train.conll'}\n"
         f"test = {synth_dir / 'test.conll'}\n"
@@ -480,6 +503,9 @@ def test_compare_external_tokenizers(synth_dir, tmp_path):
     assert not (out / "no-test.CNN.ckpt").exists()
     record = json.loads((out / "no-test.CNN.run.json").read_text())
     assert record["error"] == "tokenizer spec provides no test segmentation"
+    assert rows["no-train"] == ["failed"] * 4
+    record = json.loads((out / "no-train.CNN.run.json").read_text())
+    assert record["error"] == "tokenizer spec provides no training segmentation"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -20,6 +20,26 @@ def test_embedding_repeated_id_grad_sums():
     assert np.array_equal(dtable[1], [0.0, 0.0])
 
 
+def test_embedding_row_grads_sum_repeats_in_sorted_rows():
+    grads = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0], [0.5, 0.5]])
+    rows, values = nn.embedding_row_grads([4, 1, 4, 4], grads)
+    assert rows.tolist() == [1, 4]
+    assert np.array_equal(values, [[10.0, 20.0], [101.5, 202.5]])
+    rows, values = nn.embedding_row_grads([], np.zeros((0, 2)))
+    assert rows.size == 0 and values.shape == (0, 2)
+
+
+def test_embedding_backward_matches_dense_scatter_add():
+    # the dense table before row gradients: add every position into zeros
+    rng = np.random.default_rng(3)
+    for length in (1, 5, 40):
+        ids = rng.integers(0, 7, size=length)
+        grad_out = rng.normal(size=(length, 3))
+        reference = np.zeros((9, 3))
+        np.add.at(reference, ids, grad_out)
+        assert np.array_equal(nn.embedding_backward(ids, grad_out, 9), reference)
+
+
 def test_embedding_out_of_range():
     table = np.zeros((2, 3))
     with pytest.raises(IdOutOfRange):
@@ -296,6 +316,33 @@ def test_rmsprop_zero_gradient():
     nn.rmsprop_step(params, {"w": np.array([0.0])}, state)
     assert params["w"][0] == 3.0
     assert abs(state.s["w"][0] - 0.45) < 1e-12  # decayed by rho
+
+
+def test_rmsprop_row_grad_matches_dense_step():
+    rng = np.random.default_rng(8)
+    table = rng.normal(size=(6, 3))
+    params = {"row": table.copy(), "dense": table.copy()}
+    state = nn.RmspropState(params, learning_rate=0.01)
+    for step in range(4):
+        rows = np.sort(rng.choice(6, size=2 + step % 2, replace=False))
+        values = rng.normal(size=(rows.size, 3))
+        dense = np.zeros_like(table)
+        dense[rows] = values
+        untouched = np.setdiff1d(np.arange(6), rows)
+        before = params["row"][untouched].copy()
+        nn.rmsprop_step(params, {"row": nn.RowGrad(rows, values),
+                                 "dense": dense}, state)
+        assert np.array_equal(params["row"], params["dense"])
+        assert np.array_equal(state.s["row"], state.s["dense"])
+        assert np.array_equal(params["row"][untouched], before)
+
+
+def test_rmsprop_row_grad_shape_mismatch():
+    params = {"t": np.zeros((4, 3))}
+    state = nn.RmspropState(params)
+    with pytest.raises(ShapeMismatch):
+        nn.rmsprop_step(params, {"t": nn.RowGrad(np.array([0, 2]),
+                                                 np.zeros((2, 2)))}, state)
 
 
 def test_rmsprop_quadratic_converges():

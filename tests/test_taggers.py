@@ -1,17 +1,20 @@
 import hashlib
 import json
+import random
 import struct
 
 import numpy as np
 import pytest
 
-from subner.alignment import ClubbingStrategy
+from subner import nn
+from subner.alignment import ClubbingStrategy, make_padded_batch, propagate_labels
 from subner.corpus import LabelSet, build_label_set, parse_conll
 from subner.errors import (
     CorruptCheckpoint,
     InvalidHyper,
     LabelMismatch,
     NonFiniteLoss,
+    SubnerError,
     VersionMismatch,
 )
 from subner.metrics import evaluate
@@ -21,6 +24,8 @@ from subner.taggers import (
     HEADER_KEYS,
     Hyperparams,
     TrainConfig,
+    _clip_grads,
+    backward,
     build_model,
     check_label_compat,
     count_params,
@@ -258,6 +263,145 @@ def test_train_ignores_padding(toy, arch):
         assert np.array_equal(short.params[name], long.params[name]), name
 
 
+# words outside the TOY vocab all map to [UNK], so ids repeat within rows
+REPEATS = TOY + "\n" + "\n".join([
+    "zz\tO\nraj\tB-NEP\nzz\tO\nraj\tB-NEP\n",
+    "pune\tB-NEL\nyy\tO\npune\tB-NEL\nin\tO\nxx\tO\nmumbai\tB-NEL\n",
+])
+
+
+def dense_reference_train(model, corpus, seg, config):
+    """Reference training loop with dense gradients: every row's gradient of
+    every table, the embedding's as a dense vocab x dim table, is added into
+    zeros, and RMSProp updates every entry of every table.
+    Returns the train losses, each step's gradients and which kinds of
+    embedding rows occurred."""
+    rows = []
+    for sent in corpus:
+        enc = seg.encode(sent.words)
+        sub_tags = propagate_labels(list(sent.tags), enc)
+        rows.append((enc, [model.labels.index(t) for t in sub_tags]))
+    s = {name: np.zeros_like(p) for name, p in model.params.items()}
+    rng = np.random.default_rng(config.seed)
+    losses, steps = [], []
+    seen = {"within": False, "across": False, "untouched": False}
+    for _ in range(config.epochs):
+        order = rng.permutation(len(rows))
+        nll_total = mask_total = 0.0
+        for start in range(0, len(rows), config.batch_size):
+            batch = make_padded_batch(
+                [rows[i] for i in order[start:start + config.batch_size]],
+                config.max_len, model.pad_id)
+            denom = float(batch.mask.sum())
+            grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+            batch_ids = []
+            for row in range(batch.ids.shape[0]):
+                keep = int(batch.mask[row].sum())
+                ids = batch.ids[row, :keep]
+                seen["within"] |= len(set(ids.tolist())) < keep
+                seen["across"] |= bool(set(ids.tolist()) & set(batch_ids))
+                batch_ids += ids.tolist()
+                logits, cache = forward(model, ids)
+                loss, dlogits = nn.masked_softmax_ce(
+                    logits, batch.label_indices[row, :keep],
+                    batch.mask[row, :keep], denom=denom)
+                nll_total += loss * denom
+                for name, g in backward(model, cache, dlogits).items():
+                    if name == "embed":  # rows are unique: the dense table
+                        g = nn.embedding_backward(g.rows, g.values,
+                                                  model.vocab_size)
+                    grads[name] += g
+            seen["untouched"] |= len(set(batch_ids)) < model.vocab_size
+            mask_total += denom
+            steps.append(grads)
+            for name, g in grads.items():
+                s[name] *= config.rho
+                s[name] += (1.0 - config.rho) * g * g
+                model.params[name] -= (config.learning_rate * g
+                                       / (np.sqrt(s[name]) + config.epsilon))
+        losses.append(nll_total / mask_total)
+    for name, p in model.params.items():
+        model.params[name] = p.astype(np.float32).astype(np.float64)
+    return losses, steps, seen
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_matches_dense_reference(toy, arch, monkeypatch):
+    corpus, labels, vocab, seg = toy
+    repeats = parse_conll(REPEATS, "train")
+    config = TrainConfig(epochs=3, batch_size=6, max_len=5, seed=4,
+                         learning_rate=1e-2)
+    runs = []
+    for _ in range(2):
+        runs.append(build_model(arch, small_hyper(len(labels)), vocab, labels,
+                                9, tokenizer_mode="word"))
+    # RMSProp divides out most of a gradient's last bits, so the gradients
+    # each step receives are compared as well as the trained parameters
+    steps = []
+    rmsprop_step = nn.rmsprop_step
+
+    def recording_step(params, grads, state):
+        steps.append({name: nn.embedding_backward(g.rows, g.values, len(vocab))
+                      if isinstance(g, nn.RowGrad) else g.copy()
+                      for name, g in grads.items()})
+        rmsprop_step(params, grads, state)
+
+    monkeypatch.setattr(nn, "rmsprop_step", recording_step)
+    trained, history = train(runs[0], repeats, None, seg, config)
+    losses, ref_steps, seen = dense_reference_train(runs[1], repeats, seg,
+                                                    config)
+    assert seen == {"within": True, "across": True, "untouched": True}
+    assert history.truncated_rows > 0
+    assert history.train_loss == losses
+    assert len(steps) == len(ref_steps)
+    for step, ref_step in zip(steps, ref_steps):
+        assert step.keys() == ref_step.keys()
+        for name in step:
+            assert np.array_equal(step[name], ref_step[name]), name
+    for name in trained.params:
+        assert np.array_equal(trained.params[name], runs[1].params[name]), name
+
+
+def test_clip_grads_counts_row_grads(toy):
+    corpus, labels, vocab, seg = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 1,
+                        tokenizer_mode="word")
+    enc = seg.encode(corpus.sentences[1].words)
+    logits, cache = forward(model, enc.ids)
+    label_idx = [labels.index(t) for t in corpus.sentences[1].tags]
+    _, dlogits = nn.masked_softmax_ce(logits, label_idx, np.ones(len(label_idx)))
+    grads = backward(model, cache, dlogits)
+    assert isinstance(grads["embed"], nn.RowGrad)
+
+    def dense_norm():
+        tables = [nn.embedding_backward(g.rows, g.values, model.vocab_size)
+                  if isinstance(g, nn.RowGrad) else g for g in grads.values()]
+        return np.sqrt(sum(float((t * t).sum()) for t in tables))
+
+    before = dense_norm()
+    max_norm = before / 3.0
+    assert _clip_grads(grads, max_norm) == pytest.approx(before, rel=1e-12)
+    assert dense_norm() == pytest.approx(max_norm, rel=1e-12)
+    assert _clip_grads(grads, 2.0 * max_norm) == \
+        pytest.approx(max_norm, rel=1e-12)
+    assert dense_norm() == pytest.approx(max_norm, rel=1e-12)
+
+
+def test_train_with_grad_clip_deterministic(toy):
+    corpus, labels, vocab, seg = toy
+    runs = []
+    for grad_clip in (0.05, 0.05, None):
+        model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 2,
+                            tokenizer_mode="word")
+        config = TrainConfig(epochs=3, batch_size=4, max_len=8, seed=2,
+                             learning_rate=1e-2, grad_clip=grad_clip)
+        runs.append(train(model, corpus, None, seg, config)[0].params)
+    clipped, again, unclipped = runs
+    for name in clipped:
+        assert np.array_equal(clipped[name], again[name]), name
+    assert not np.array_equal(clipped["conv_w"], unclipped["conv_w"])
+
+
 def resign_header(path, edit):
     """Rewrite a checkpoint's JSON header with `edit(header)` and sign the
     result with a valid checksum, so only the header checks can reject it."""
@@ -299,6 +443,9 @@ HEADER_EDITS = {
     "pad_id": lambda header: header.update(
         pad_id=(header["pad_id"] + 1) % header["vocab_size"]),
     "unk_token_missing": lambda header: header.update(unk_token="[NONE]"),
+    "hyper_float": lambda header: header["hyper"].update(
+        embed_dim=float(header["hyper"]["embed_dim"])),
+    "tokenizer_mode": lambda header: header.update(tokenizer_mode="bpe"),
 }
 
 
@@ -314,3 +461,40 @@ def test_checkpoint_header_disagrees_with_arch(tmp_path, toy, edit):
         resign_header(path, edit)
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
+
+
+def test_checkpoint_fuzz_raises_only_subner_errors(tmp_path, toy):
+    # flipped or truncated bytes under a valid checksum: only the format and
+    # header checks stand between them and the loader
+    _, labels, vocab, _ = toy
+    rng = random.Random(505)
+    path = tmp_path / "fuzz.ckpt"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for arch in ARCHS:
+        model = build_model(arch, small_hyper(len(labels), embed_dim=2,
+                                              conv_filters=2, lstm_hidden=2,
+                                              bilstm_hidden=2),
+                            vocab, labels, 0, tokenizer_mode="word")
+        save_checkpoint(model, path)
+        body = path.read_bytes()[:-8]
+        header_end = len(CHECKPOINT_MAGIC) + 8 + struct.unpack_from(
+            "<I", body, len(CHECKPOINT_MAGIC) + 4)[0]
+        for trial in range(400):
+            data = bytearray(body)
+            if rng.random() < 0.2:
+                del data[rng.randrange(len(data)):]
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    # most flips land in the header, where the checks are
+                    end = header_end if rng.random() < 0.8 else len(data)
+                    data[rng.randrange(end)] ^= rng.randrange(1, 256)
+            path.write_bytes(bytes(data) + hashlib.sha256(data).digest()[:8])
+            try:
+                with np.errstate(invalid="ignore"):
+                    load_checkpoint(path)
+                outcomes["loaded"] += 1
+            except SubnerError:
+                outcomes["rejected"] += 1
+            except Exception as exc:  # noqa: BLE001 - the property under test
+                pytest.fail(f"{arch} trial {trial}: {type(exc).__name__}: {exc}")
+    assert outcomes["rejected"] > outcomes["loaded"] > 0
