@@ -1,5 +1,5 @@
 """Label propagation (root word -> subtokens), clubbing (subtokens -> root
-word), and word-boundary truncation with batch-local padding for training."""
+word), and word-boundary truncation into packed batches for training."""
 
 from __future__ import annotations
 
@@ -61,11 +61,16 @@ def club_labels(subtoken_tags, encoding: SubwordEncoding,
 
 
 @dataclass
-class PaddedBatch:
-    ids: np.ndarray            # (batch, width), width = longest kept row
-    label_indices: np.ndarray
-    mask: np.ndarray
+class PackedBatch:
+    ids: np.ndarray            # (N,): every row's kept subtokens, row after row
+    label_indices: np.ndarray  # (N,)
+    lengths: np.ndarray        # (batch,): kept subtokens of each row
     truncated_rows: int
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Loss mask over the batch's positions: every position is real."""
+        return np.ones(self.ids.size)
 
 
 def _kept_length(encoding: SubwordEncoding, max_len: int) -> int:
@@ -82,27 +87,24 @@ def _kept_length(encoding: SubwordEncoding, max_len: int) -> int:
     return keep
 
 
-def make_padded_batch(rows, max_len: int, pad_id: int) -> PaddedBatch:
-    """Stack (encoding, label_indices) pairs into a batch. Each row is
-    truncated at a word boundary to at most max_len subtokens, then
-    right-padded with `pad_id` (label index 0) to the batch's longest kept
-    row; mask marks real positions."""
+def make_padded_batch(rows, max_len: int) -> PackedBatch:
+    """Pack (encoding, label_indices) pairs into one batch with no padding
+    (the name predates packing; bench/tracer.py wraps it under it). Each row
+    is truncated at a word boundary to at most max_len subtokens."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    keeps = [_kept_length(enc, max_len) for enc, _ in rows]
-    shape = (len(rows), max(keeps + [1]))
-    ids = np.full(shape, pad_id, dtype=np.int64)
-    labels = np.zeros(shape, dtype=np.int64)
-    mask = np.zeros(shape, dtype=np.float64)
-    truncated = 0
-    for row, ((enc, label_indices), keep) in enumerate(zip(rows, keeps)):
+    keeps, ids, labels = [], [], []
+    for enc, label_indices in rows:
         if len(label_indices) != len(enc.word_ids):
             raise LengthMismatch(
                 f"{len(label_indices)} label indices for "
                 f"{len(enc.word_ids)} subtokens"
             )
-        ids[row, :keep] = enc.ids[:keep]
-        labels[row, :keep] = label_indices[:keep]
-        mask[row, :keep] = 1.0
-        truncated += keep < len(enc.ids)
-    return PaddedBatch(ids, labels, mask, truncated)
+        keep = _kept_length(enc, max_len)
+        keeps.append(keep)
+        ids.extend(enc.ids[:keep])
+        labels.extend(label_indices[:keep])
+    truncated = sum(keep < len(enc.ids) for (enc, _), keep in zip(rows, keeps))
+    return PackedBatch(np.array(ids, dtype=np.int64),
+                       np.array(labels, dtype=np.int64),
+                       np.array(keeps, dtype=np.int64), truncated)

@@ -76,7 +76,8 @@ class CorruptCheckpoint(SubnerError):
 
 
 class NonFiniteLoss(SubnerError):
-    """Training diverged: a batch loss came out inf or nan."""
+    """Training diverged: a batch loss or gradient norm came out inf or nan,
+    or an epoch's mean loss exceeded the divergence bound."""
 
 
 class UnknownScheme(SubnerError):

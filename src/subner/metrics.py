@@ -187,7 +187,8 @@ def span_metrics(pred_labels, gold_labels, scheme: str = "bio") -> SpanMetrics:
 def evaluate(model, corpus: LabeledCorpus, segmenter,
              strategy: ClubbingStrategy = ClubbingStrategy.FIRST,
              span_scheme: str | None = None) -> EvalReport:
-    """Predict every sentence, club to root tokens, and score.
+    """Predict every sentence (forwarded in length-sorted packed blocks,
+    see `taggers.predict_encodings`), club to root tokens, and score.
 
     Also reports pre-clubbing subtoken accuracy (against propagated gold
     labels) as a diagnostic, and fertility stats for vocab-driven segmenters.
@@ -199,13 +200,11 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     sub_total = 0
     sub_correct = 0
     all_pred, all_gold = [], []
-    encodings = []
-    for idx, sent in enumerate(corpus):
-        enc = segmenter.encode(sent.words, index=idx)
-        encodings.append(enc)
-        word_tags, subtoken_tags = taggers.predict_tags_for_encoding(
-            model, enc, strategy
-        )
+    encodings = [segmenter.encode(sent.words, index=idx)
+                 for idx, sent in enumerate(corpus)]
+    predicted = taggers.predict_encodings(model, encodings, strategy)
+    for sent, enc, (word_tags, subtoken_tags) in zip(corpus, encodings,
+                                                     predicted):
         counts.add(token_confusion(word_tags, list(sent.tags)))
         gold_sub = propagate_labels(list(sent.tags), enc)
         sub_total += len(gold_sub)

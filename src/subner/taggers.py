@@ -1,9 +1,10 @@
 """Trainable per-position taggers: a single CNN, LSTM, or BiLSTM layer over
 trained embeddings, with a dense softmax head.
 
-Pipeline per sentence: token ids -> embedding -> arch layer -> dense ->
-softmax. Training propagates root labels to subtokens; prediction clubs
-subtoken labels back to root tokens.
+Pipeline per packed batch of sentences (one sentence is the batch of one):
+token ids -> embedding -> arch layer -> dense -> softmax. Training
+propagates root labels to subtokens; prediction clubs subtoken labels back
+to root tokens.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -30,8 +32,8 @@ from .errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
-from .metrics import token_confusion, token_metrics
-from .tokenizers import SubwordEncoding, Vocab
+from .metrics import ConfusionCounts, token_confusion, token_metrics
+from .tokenizers import Vocab
 
 ARCHS = ("CNN", "LSTM", "BiLSTM")
 
@@ -119,9 +121,11 @@ class TaggerModel:
         return digest.hexdigest()
 
 
-def _to_f32_grid(arr):
-    # parameters live on the float32 grid so checkpoints round-trip exactly
-    return arr.astype(np.float32).astype(np.float64)
+def _round_to_f32_grid(params):
+    # parameters live on the float32 grid so checkpoints round-trip exactly;
+    # rounding in place needs only a float32 temporary, not a float64 copy
+    for p in params.values():
+        p[...] = p.astype(np.float32)
 
 
 def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
@@ -168,8 +172,7 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
     params["dense_W"] = rng.uniform(-0.05, 0.05,
                                     size=(model.feature_width, len(labels)))
     params["dense_b"] = np.zeros(len(labels))
-    for name in params:
-        params[name] = _to_f32_grid(params[name])
+    _round_to_f32_grid(params)
     return model
 
 
@@ -199,20 +202,25 @@ def param_shapes(arch: str, hyper: Hyperparams,
     return shapes
 
 
-def forward(model: TaggerModel, ids):
-    """Per-subtoken logits (len, num_labels) plus caches for backward."""
+def forward(model: TaggerModel, ids, lengths=None):
+    """Per-subtoken logits (N, num_labels) of a packed batch (`ids` holds
+    every row's subtokens, row after row; `lengths` each row's count, None
+    for one row) plus caches for backward."""
     p = model.params
     ids = np.asarray(ids, dtype=np.int64)
     emb = nn.embedding_forward(ids, p["embed"])
     if model.arch == "CNN":
-        feat, arch_cache = nn.conv1d_forward(emb, p["conv_w"], p["conv_b"])
+        feat, arch_cache = nn.conv1d_forward(emb, p["conv_w"], p["conv_b"],
+                                             lengths)
     elif model.arch == "LSTM":
-        feat, arch_cache = nn.lstm_forward(emb, p["lstm_W"], p["lstm_U"], p["lstm_b"])
+        feat, arch_cache = nn.lstm_forward(emb, p["lstm_W"], p["lstm_U"],
+                                           p["lstm_b"], lengths)
     else:
         feat, arch_cache = nn.bilstm_forward(
             emb,
             (p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"]),
             (p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"]),
+            lengths,
         )
     logits, dense_cache = nn.dense_forward(feat, p["dense_W"], p["dense_b"])
     return logits, (ids, arch_cache, dense_cache)
@@ -220,7 +228,7 @@ def forward(model: TaggerModel, ids):
 
 def backward(model: TaggerModel, cache, dlogits) -> dict:
     """Gradients by parameter name; "embed" is a row-sparse `nn.RowGrad`
-    over the sentence's ids, every other one a dense array."""
+    over the batch's ids, every other one a dense array."""
     ids, arch_cache, dense_cache = cache
     dfeat, dW, db = nn.dense_backward(dense_cache, dlogits)
     grads = {"dense_W": dW, "dense_b": db}
@@ -238,31 +246,64 @@ def backward(model: TaggerModel, cache, dlogits) -> dict:
     return grads
 
 
-def predict_tags_for_encoding(model: TaggerModel, encoding: SubwordEncoding,
-                              strategy: ClubbingStrategy = ClubbingStrategy.FIRST):
-    """Returns (root-word labels, per-subtoken labels) for one sentence."""
-    logits, _ = forward(model, encoding.ids)
-    pred_idx = logits.argmax(axis=1)  # ties resolve to the lowest index
-    subtoken_tags = [model.labels.labels[i] for i in pred_idx]
-    return club_labels(subtoken_tags, encoding, strategy), subtoken_tags
+# Inference forwards sentences in blocks of at most this many subtokens (a
+# longer sentence is a block of its own). At paper sizes a forward holds
+# about 20 KB per subtoken for the CNN and 83 KB for the BiLSTM, so a block
+# stays within about 21 MB. Over 60 sentences of 5-60 subtokens (2-core x86
+# VM, one BLAS thread), 256 was the CNN's fastest cap, and the BiLSTM ran
+# 1.9x faster with it than one sentence at a time.
+PREDICT_BLOCK_SUBTOKENS = 256
+
+
+def predict_encodings(model: TaggerModel, encodings,
+                      strategy: ClubbingStrategy = ClubbingStrategy.FIRST):
+    """(root-word labels, per-subtoken labels) of each encoding, in input
+    order. Sentences are sorted by length and forwarded as packed blocks of
+    at most PREDICT_BLOCK_SUBTOKENS subtokens."""
+    order = sorted(range(len(encodings)), key=lambda i: len(encodings[i].ids))
+    blocks, block, size = [], [], 0
+    for i in order:
+        n = len(encodings[i].ids)
+        if block and size + n > PREDICT_BLOCK_SUBTOKENS:
+            blocks.append(block)
+            block, size = [], 0
+        block.append(i)
+        size += n
+    if block:
+        blocks.append(block)
+    out = [None] * len(encodings)
+    for block in blocks:
+        ids = [t for i in block for t in encodings[i].ids]
+        lengths = [len(encodings[i].ids) for i in block]
+        logits, _ = forward(model, ids, lengths)
+        pred_idx = logits.argmax(axis=1).tolist()  # ties: the lowest index
+        start = 0
+        for i, n in zip(block, lengths):
+            subtoken_tags = [model.labels.labels[j]
+                             for j in pred_idx[start:start + n]]
+            out[i] = (club_labels(subtoken_tags, encodings[i], strategy),
+                      subtoken_tags)
+            start += n
+    return out
 
 
 def predict_sentence(model: TaggerModel, words, segmenter,
                      strategy: ClubbingStrategy = ClubbingStrategy.FIRST):
     """Segment, forward, argmax per subtoken, then club back to words."""
     enc = segmenter.encode(words)
-    word_tags, _ = predict_tags_for_encoding(model, enc, strategy)
+    [(word_tags, _)] = predict_encodings(model, [enc], strategy)
     return list(zip(words, word_tags))
 
 
 def _clip_grads(grads, max_norm) -> float:
-    """Scales every gradient in place so that their global norm is at most
-    `max_norm`; returns the norm before clipping. A row gradient's rows
-    are all of its table's nonzero entries."""
+    """Returns the global norm of the gradients and, when `max_norm` is
+    given, scales every gradient in place so that the norm is at most
+    `max_norm`. A row gradient's rows are all of its table's nonzero
+    entries."""
     arrays = [g.values if isinstance(g, nn.RowGrad) else g
               for g in grads.values()]
-    total = np.sqrt(sum(float((g * g).sum()) for g in arrays))
-    if total > max_norm:
+    total = np.sqrt(sum(float(np.vdot(g, g)) for g in arrays))
+    if max_norm is not None and total > max_norm:
         scale = max_norm / total
         for g in arrays:
             g *= scale
@@ -270,15 +311,16 @@ def _clip_grads(grads, max_norm) -> float:
 
 
 def _val_macro_f1(model, val_rows, val_tags, strategy):
-    counts = None
-    for (enc, _), gold in zip(val_rows, val_tags):
-        word_tags, _ = predict_tags_for_encoding(model, enc, strategy)
-        c = token_confusion(word_tags, gold)
-        if counts is None:
-            counts = c
-        else:
-            counts.add(c)
+    counts = ConfusionCounts()
+    predicted = predict_encodings(model, [enc for enc, _ in val_rows], strategy)
+    for (word_tags, _), gold in zip(predicted, val_tags):
+        counts.add(token_confusion(word_tags, gold))
     return token_metrics(counts).macro_f1
+
+
+# An untrained tagger's mean loss is about ln(num_labels); an epoch whose
+# mean train loss exceeds this many times that has diverged.
+DIVERGED_LOSS_FACTOR = 100
 
 
 def train(model: TaggerModel, train_corpus: LabeledCorpus,
@@ -287,21 +329,25 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
           val_segmenter=None) -> tuple[TaggerModel, TrainHistory]:
     """Seeded shuffle, propagated labels, masked CE, RMSProp; keeps the
     best-validation parameters when a validation split is given (early
-    stopping, configurable patience). A non-finite batch loss raises
-    NonFiniteLoss.
+    stopping, configurable patience).
 
     Rows are truncated at a word boundary to at most `max_len` subtokens and
-    each row runs forward and backward over its kept subtokens only; the
-    loss is the mean over the batch's kept subtokens. The embedding
-    gradient of a batch holds only the rows its sentences use, and RMSProp
-    updates only those rows of the table."""
+    each minibatch is one packed batch of its rows' kept subtokens: one
+    forward and one backward, the loss the mean over those subtokens. The
+    embedding gradient holds only the rows the batch uses, and RMSProp
+    updates only those rows of the table. Validation forwards the split in
+    length-sorted blocks (`predict_encodings`).
+
+    Raises NonFiniteLoss when a batch loss or a gradient norm is not finite,
+    or an epoch's mean loss exceeds DIVERGED_LOSS_FACTOR * ln(num_labels)."""
     from .alignment import propagate_labels
 
-    if len(train_corpus) == 0:
-        raise EmptySplit("empty training split")
-    for corpus in (train_corpus, val_corpus):
-        if corpus is not None:
-            check_label_compat(model.labels, corpus)
+    for corpus, split in ((train_corpus, "training"), (val_corpus, "validation")):
+        if corpus is None:
+            continue
+        if len(corpus) == 0:
+            raise EmptySplit(f"empty {split} split")
+        check_label_compat(model.labels, corpus)
 
     def encode_rows(corpus, seg):
         rows = []
@@ -327,55 +373,40 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     best_params = None
     stale = 0
     n = len(train_rows)
+    max_loss = DIVERGED_LOSS_FACTOR * math.log(len(model.labels))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
         nll_total = 0.0
-        mask_total = 0.0
+        positions = 0
         for batch_start in range(0, n, config.batch_size):
             batch_idx = order[batch_start:batch_start + config.batch_size]
             batch = make_padded_batch([train_rows[i] for i in batch_idx],
-                                      config.max_len, model.pad_id)
+                                      config.max_len)
             if epoch == 0:
                 history.truncated_rows += batch.truncated_rows
-            denom = float(batch.mask.sum())
-            if denom == 0.0:
+            if batch.ids.size == 0:
                 continue
-            grads = {name: np.zeros_like(p) for name, p in model.params.items()
-                     if name != "embed"}
-            embed_grads = []
-            batch_loss = 0.0
-            for row in range(batch.ids.shape[0]):
-                # real positions are a prefix; train on them alone, as
-                # inference sees the sentence
-                keep = int(batch.mask[row].sum())
-                if keep == 0:
-                    continue
-                logits, cache = forward(model, batch.ids[row, :keep])
-                loss, dlogits = nn.masked_softmax_ce(
-                    logits, batch.label_indices[row, :keep],
-                    batch.mask[row, :keep], denom=denom,
-                )
-                nll_total += loss * denom
-                batch_loss += loss
-                row_grads = backward(model, cache, dlogits)
-                embed_grads.append(row_grads.pop("embed"))
-                for name, g in row_grads.items():
-                    grads[name] += g
-            if not np.isfinite(batch_loss):
+            logits, cache = forward(model, batch.ids, batch.lengths)
+            loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices,
+                                                 batch.mask)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"epoch {epoch + 1}: batch loss is {loss}")
+            nll_total += loss * batch.ids.size
+            positions += batch.ids.size
+            grads = backward(model, cache, dlogits)
+            norm = _clip_grads(grads, config.grad_clip)
+            if not np.isfinite(norm):
                 raise NonFiniteLoss(
-                    f"epoch {epoch + 1}: batch loss is {batch_loss}"
-                )
-            # the batch's rows, each summed in row order from zero: the same
-            # additions as a dense table that every row's gradient is added to
-            grads["embed"] = nn.embedding_row_grads(
-                np.concatenate([g.rows for g in embed_grads]),
-                np.concatenate([g.values for g in embed_grads]))
-            mask_total += denom
-            if config.grad_clip is not None:
-                _clip_grads(grads, config.grad_clip)
+                    f"epoch {epoch + 1}: gradient norm is {norm}")
             nn.rmsprop_step(model.params, grads, state)
-        history.train_loss.append(nll_total / mask_total if mask_total else 0.0)
+        mean_loss = nll_total / positions if positions else 0.0
+        if mean_loss > max_loss:
+            raise NonFiniteLoss(
+                f"epoch {epoch + 1}: mean train loss {mean_loss:.6g} exceeds "
+                f"{DIVERGED_LOSS_FACTOR} x ln({len(model.labels)}) = "
+                f"{max_loss:.6g}; training diverged")
+        history.train_loss.append(mean_loss)
         if val_rows is not None:
             f1 = _val_macro_f1(model, val_rows, val_tags, config.strategy)
             history.val_macro_f1.append(f1)
@@ -393,8 +424,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             break
     if best_params is not None:
         model.params = best_params
-    for name in model.params:
-        model.params[name] = _to_f32_grid(model.params[name])
+    _round_to_f32_grid(model.params)
     return model, history
 
 
@@ -494,38 +524,60 @@ def _vocab_from_header(header) -> Vocab | None:
     return vocab
 
 
+# A load hashes the file, then reads and widens each tensor this many
+# float32 values at a time: it never holds the file's bytes next to the
+# widened float64 tensors (36 MB for a 30k x 300 embedding).
+LOAD_CHUNK = 1 << 18
+
+
 def load_checkpoint(path) -> TaggerModel:
+    """Reads a checkpoint written by `save_checkpoint`. Raises
+    VersionMismatch for another format or version and CorruptCheckpoint for
+    a checksum mismatch, a header that fails `_check_header`, a truncated or
+    non-finite tensor, or a vocab fingerprint that its tokens do not give."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 16 or not blob.startswith(CHECKPOINT_MAGIC):
-        raise VersionMismatch("not a recognized checkpoint file")
-    if hashlib.sha256(blob[:-8]).digest()[:8] != blob[-8:]:
-        raise CorruptCheckpoint("checksum mismatch (truncated or corrupted file)")
-    offset = len(CHECKPOINT_MAGIC)
-    version, header_len = struct.unpack_from("<II", blob, offset)
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"unsupported checkpoint version {version}")
-    offset += 8
-    try:
-        header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpoint(f"bad header: {exc}") from exc
-    offset += header_len
-    hyper, labels, shapes = _check_header(header)
-    params = {}
-    for name, shape in sorted(shapes.items()):
-        size = math.prod(shape) * 4
-        if offset + size > len(blob) - 8:
-            raise CorruptCheckpoint(f"tensor {name!r} truncated")
-        arr = np.frombuffer(blob, dtype="<f4", count=size // 4, offset=offset)
-        params[name] = arr.astype(np.float64).reshape(shape)
-        offset += size
-    if offset != len(blob) - 8:
+        total = os.fstat(fh.fileno()).st_size
+        if (total < len(CHECKPOINT_MAGIC) + 16
+                or fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC):
+            raise VersionMismatch("not a recognized checkpoint file")
+        fh.seek(0)
+        digest = hashlib.sha256()
+        left = total - 8
+        while left > 0 and (chunk := fh.read(min(left, 4 * LOAD_CHUNK))):
+            digest.update(chunk)
+            left -= len(chunk)
+        if left or digest.digest()[:8] != fh.read(8):
+            raise CorruptCheckpoint("checksum mismatch (truncated or corrupted file)")
+        fh.seek(len(CHECKPOINT_MAGIC))
+        version, header_len = struct.unpack("<II", fh.read(8))
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatch(f"unsupported checkpoint version {version}")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptCheckpoint(f"bad header: {exc}") from exc
+        offset = len(CHECKPOINT_MAGIC) + 8 + header_len
+        hyper, labels, shapes = _check_header(header)
+        params = {}
+        for name, shape in sorted(shapes.items()):
+            count = math.prod(shape)
+            if offset + 4 * count > total - 8:
+                raise CorruptCheckpoint(f"tensor {name!r} truncated")
+            flat = np.empty(count)
+            for start in range(0, count, LOAD_CHUNK):
+                part = np.frombuffer(fh.read(4 * min(LOAD_CHUNK, count - start)),
+                                     dtype="<f4")
+                if not np.isfinite(part).all():
+                    raise CorruptCheckpoint(f"tensor {name!r} holds nan or inf")
+                flat[start:start + part.size] = part
+            params[name] = flat.reshape(shape)
+            offset += 4 * count
+    if offset != total - 8:
         raise CorruptCheckpoint("trailing bytes after tensors")
     # built after the tensors: built before them, a 30k-token vocab raised
     # the peak resident memory of a load by about 3.5 MB
     vocab = _vocab_from_header(header)
-    return TaggerModel(
+    model = TaggerModel(
         arch=header["arch"],
         hyper=hyper,
         labels=labels,
@@ -535,6 +587,10 @@ def load_checkpoint(path) -> TaggerModel:
         pad_id=header["pad_id"],
         params=params,
     )
+    if model.vocab_fingerprint() != header["vocab_fingerprint"]:
+        raise CorruptCheckpoint("header vocab fingerprint does not match its "
+                                "vocab tokens")
+    return model
 
 
 def check_label_compat(labels: LabelSet, corpus: LabeledCorpus):

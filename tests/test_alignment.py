@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from subner.alignment import (
@@ -74,19 +73,22 @@ def test_round_trip_property():
 
 
 def test_pad_short_sequence():
+    # rows are packed back to back: nothing pads the shorter row
     rows = [(enc_from_word_ids([0, 1]), [0, 1]),
             (enc_from_word_ids([0, 1, 2, 3]), [1] * 4)]
-    batch = make_padded_batch(rows, max_len=4, pad_id=9)
-    assert batch.mask[0].tolist() == [1, 1, 0, 0]
-    assert batch.ids[0].tolist() == [0, 1, 9, 9]
-    assert batch.label_indices[0].tolist() == [0, 1, 0, 0]
+    batch = make_padded_batch(rows, max_len=4)
+    assert batch.lengths.tolist() == [2, 4]
+    assert batch.ids.tolist() == [0, 1, 0, 1, 2, 3]
+    assert batch.label_indices.tolist() == [0, 1, 1, 1, 1, 1]
+    assert batch.mask.tolist() == [1] * 6
     assert batch.truncated_rows == 0
 
 
 def test_pad_exact_length():
     enc = enc_from_word_ids([0, 1, 2, 3, 4])
-    batch = make_padded_batch([(enc, [0] * 5)], max_len=5, pad_id=9)
-    assert batch.mask.tolist() == [[1] * 5]
+    batch = make_padded_batch([(enc, [0] * 5)], max_len=5)
+    assert batch.lengths.tolist() == [5]
+    assert batch.mask.tolist() == [1] * 5
     assert batch.truncated_rows == 0
 
 
@@ -94,25 +96,30 @@ def test_truncate_at_word_boundary():
     # word subtoken-group sizes 3, 4, 5: only the first group fits max_len 4
     enc = enc_from_word_ids([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2])
     rows = [(enc, list(range(12))), (enc_from_word_ids([0, 1, 2, 3]), [0] * 4)]
-    batch = make_padded_batch(rows, max_len=4, pad_id=99)
+    batch = make_padded_batch(rows, max_len=4)
     assert batch.truncated_rows == 1
-    assert batch.mask[0].tolist() == [1, 1, 1, 0]
-    assert batch.ids[0].tolist() == [0, 1, 2, 99]
-    assert batch.label_indices[0].tolist() == [0, 1, 2, 0]
+    assert batch.lengths.tolist() == [3, 4]
+    assert batch.ids.tolist() == [0, 1, 2, 0, 1, 2, 3]
+    assert batch.label_indices.tolist() == [0, 1, 2, 0, 0, 0, 0]
 
 
 def test_truncation_never_splits_groups():
     rng = random.Random(5)
     for _ in range(200):
-        rows = [(enc, [0] * len(enc.word_ids)) for enc in
+        rows = [(enc, list(range(len(enc.word_ids)))) for enc in
                 (random_encoding(rng, max_words=8, max_fertility=5)
                  for _ in range(rng.randint(1, 4)))]
         max_len = rng.randint(1, 12)
-        batch = make_padded_batch(rows, max_len, pad_id=0)
+        batch = make_padded_batch(rows, max_len)
+        assert batch.ids.size == batch.label_indices.size == batch.lengths.sum()
         truncated = 0
-        for (enc, _), mask in zip(rows, batch.mask):
-            kept = int(mask.sum())
-            assert mask[:kept].all() and not mask[kept:].any()
+        start = 0
+        for (enc, labels), kept in zip(rows, batch.lengths.tolist()):
+            # each row is its own kept prefix, in row order
+            assert batch.ids[start:start + kept].tolist() == list(enc.ids[:kept])
+            assert batch.label_indices[start:start + kept].tolist() == \
+                labels[:kept]
+            start += kept
             assert kept <= max_len
             if kept < len(enc.word_ids):
                 truncated += 1
@@ -120,6 +127,8 @@ def test_truncation_never_splits_groups():
                 # and only a word longer than max_len leaves nothing
                 assert kept == 0 or enc.word_ids[kept - 1] != enc.word_ids[kept]
                 assert kept + enc.word_ids.count(enc.word_ids[kept]) > max_len
+            else:
+                assert kept == len(enc.word_ids)
         assert batch.truncated_rows == truncated
 
 
@@ -128,22 +137,20 @@ def test_make_padded_batch():
         (enc_from_word_ids([0, 0]), [1, 1]),
         (enc_from_word_ids([0]), [2]),
     ]
-    batch = make_padded_batch(rows, max_len=3, pad_id=7)
-    # padded to the longest row, not to max_len
-    assert batch.ids.shape == (2, 2)
+    batch = make_padded_batch(rows, max_len=3)
+    # packed: three real positions, no pad id anywhere
+    assert batch.ids.tolist() == [0, 1, 0]
+    assert batch.lengths.tolist() == [2, 1]
     assert batch.mask.sum() == 3
     assert batch.truncated_rows == 0
-    assert np.array_equal(batch.label_indices[0], [1, 1])
-    assert np.array_equal(batch.ids[1], [0, 7])
-    assert np.array_equal(batch.label_indices[1], [2, 0])
+    assert batch.label_indices.tolist() == [1, 1, 2]
 
-    # the longest row is cut at a word boundary, so the width is its kept
-    # length (2 of 5 subtokens), below max_len
+    # the longest row is cut at a word boundary: 2 of its 5 subtokens
     rows.append((enc_from_word_ids([0, 0, 1, 1, 1]), [3] * 5))
-    batch = make_padded_batch(rows, max_len=4, pad_id=7)
-    assert batch.ids.shape == (3, 2)
+    batch = make_padded_batch(rows, max_len=4)
+    assert batch.lengths.tolist() == [2, 1, 2]
     assert batch.truncated_rows == 1
-    assert batch.mask[2].tolist() == [1, 1]
+    assert batch.ids.tolist() == [0, 1, 0, 0, 1]
 
     with pytest.raises(LengthMismatch):
-        make_padded_batch([(enc_from_word_ids([0, 0]), [1])], max_len=3, pad_id=7)
+        make_padded_batch([(enc_from_word_ids([0, 0]), [1])], max_len=3)

@@ -393,6 +393,25 @@ def test_train_non_finite_loss_exit_3(synth_dir, tmp_path, capsys):
     assert not (out / "nan.ckpt").exists()
 
 
+def test_train_diverging_loss_exit_3(synth_dir, tmp_path, capsys):
+    # every loss stays finite, but the epoch's mean is far above ln(labels)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CONFIG.replace("learning_rate = 0.005",
+                                        "learning_rate = 1e6"),
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--val", str(synth_dir / "validation.conll"),
+        "--arch", "CNN", "--tokenizer", "wordpiece",
+        "--vocab", str(synth_dir / "vocab.txt"),
+        "--config", str(cfg), "--out", str(out), "--run-name", "big",
+    ])
+    assert code == 3
+    assert "epoch 1: mean train loss" in capsys.readouterr().err
+    assert not (out / "big.ckpt").exists()
+
+
 def write_word_segmentation(synth_dir, tmp_path, drop_last=False):
     """External segmentations equivalent to word-mode ids, one JSONL file
     per split; `drop_last` leaves each file one sentence short."""

@@ -381,3 +381,68 @@ def test_forward_determinism():
     y1, _ = nn.conv1d_forward(x, kernel, bias)
     y2, _ = nn.conv1d_forward(x.copy(), kernel.copy(), bias.copy())
     assert np.array_equal(y1, y2)
+
+
+def packed_layer(layer, rng, lengths):
+    """(weights, run, grads) of a layer on 3-wide packed inputs: `run(x)`
+    forwards x through it, `grads(cache, dy)` names the input and weight
+    gradients, the input's as "x"."""
+    if layer == "conv":
+        weights = {"k": rng.normal(size=(3, 3, 2)), "b": rng.normal(size=2)}
+        run = lambda x: nn.conv1d_forward(x, weights["k"], weights["b"],
+                                          lengths)
+        grads = lambda cache, dy: dict(zip(("x", "k", "b"),
+                                           nn.conv1d_backward(cache, dy)))
+    elif layer == "lstm":
+        weights = dict(zip(("W", "U", "b"), nn.init_lstm_params(rng, 3, 2)))
+        run = lambda x: nn.lstm_forward(x, *weights.values(), lengths=lengths)
+        grads = lambda cache, dy: dict(zip(("x", "W", "U", "b"),
+                                           nn.lstm_backward(cache, dy)))
+    else:
+        fw, bw = nn.init_lstm_params(rng, 3, 2), nn.init_lstm_params(rng, 3, 2)
+        weights = {"fW": fw[0], "fU": fw[1], "fb": fw[2],
+                   "bW": bw[0], "bU": bw[1], "bb": bw[2]}
+        run = lambda x: nn.bilstm_forward(x, fw, bw, lengths)
+
+        def grads(cache, dy):
+            dx, gf, gb = nn.bilstm_backward(cache, dy)
+            return dict(zip(weights, gf + gb), x=dx)
+    return weights, run, grads
+
+
+@pytest.mark.parametrize("layer", ["conv", "lstm", "bilstm"])
+def test_packed_batch_grad_check(layer):
+    # three rows of mixed lengths in one packed batch, float64
+    rng = np.random.default_rng(18)
+    weights, run, grads = packed_layer(layer, rng, [3, 1, 4])
+    x = rng.normal(size=(8, 3))
+    dy = rng.normal(size=run(x)[0].shape)
+
+    def loss():
+        return float((run(x)[0] * dy).sum())
+
+    arrays = dict(weights, x=x)
+    assert nn.grad_check(loss, arrays, grads(run(x)[1], dy)) < 1e-4
+
+
+@pytest.mark.parametrize("layer", ["conv", "lstm", "bilstm"])
+def test_packed_rows_do_not_see_each_other(layer):
+    # changing one row's inputs changes that row's outputs only
+    rng = np.random.default_rng(19)
+    _, run, _ = packed_layer(layer, rng, [2, 0, 3, 1])
+    x = rng.normal(size=(6, 3))
+    changed = x.copy()
+    changed[2:5] += 1.0  # the third row
+    y, y_changed = run(x)[0], run(changed)[0]
+    assert np.array_equal(y[:2], y_changed[:2])
+    assert np.array_equal(y[5:], y_changed[5:])
+    assert not np.allclose(y[2:5], y_changed[2:5])
+
+
+def test_packed_lengths_must_cover_the_batch():
+    x = np.zeros((5, 2))
+    with pytest.raises(ShapeMismatch):
+        nn.conv1d_forward(x, np.zeros((3, 2, 4)), np.zeros(4), [2, 2])
+    with pytest.raises(ShapeMismatch):
+        nn.lstm_forward(x, *nn.init_lstm_params(np.random.default_rng(0), 2, 3),
+                        lengths=[6, -1])

@@ -6,11 +6,20 @@ import struct
 import numpy as np
 import pytest
 
-from subner import nn
+from subner import metrics, nn, taggers
 from subner.alignment import ClubbingStrategy, make_padded_batch, propagate_labels
-from subner.corpus import LabelSet, build_label_set, parse_conll
+from subner.corpus import (
+    LabeledCorpus,
+    LabelSet,
+    SynthConfig,
+    build_label_set,
+    generate_synthetic,
+    parse_conll,
+    synthetic_vocab_tokens,
+)
 from subner.errors import (
     CorruptCheckpoint,
+    EmptySplit,
     InvalidHyper,
     LabelMismatch,
     NonFiniteLoss,
@@ -245,6 +254,41 @@ def test_train_raises_on_non_finite_loss(toy):
             train(model, corpus, None, seg, config)
 
 
+def test_train_raises_on_non_finite_gradient_norm(toy, monkeypatch):
+    corpus, labels, vocab, seg = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    real_backward = taggers.backward
+
+    def poisoned_backward(model, cache, dlogits):
+        grads = real_backward(model, cache, dlogits)
+        grads["dense_b"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(taggers, "backward", poisoned_backward)
+    with pytest.raises(NonFiniteLoss, match="epoch 1: gradient norm is inf"):
+        train(model, corpus, None, seg, TrainConfig(epochs=1, batch_size=4))
+
+
+def test_train_raises_on_diverging_mean_loss(toy):
+    corpus, labels, vocab, seg = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    config = TrainConfig(epochs=2, batch_size=2, learning_rate=1e6)
+    with pytest.raises(NonFiniteLoss, match=r"epoch 1: mean train loss .* "
+                       r"exceeds 100 x ln\(3\)"):
+        train(model, corpus, None, seg, config)
+
+
+def test_train_rejects_empty_validation_split(toy):
+    corpus, labels, vocab, seg = toy
+    model = build_model("LSTM", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    with pytest.raises(EmptySplit, match="empty validation split"):
+        train(model, corpus, LabeledCorpus((), "validation"), seg,
+              TrainConfig(epochs=1))
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_train_ignores_padding(toy, arch):
     # one sentence, so a max_len above its length can only add padding
@@ -270,9 +314,13 @@ REPEATS = TOY + "\n" + "\n".join([
 ])
 
 
+ARCH_BACKWARD = {"CNN": nn.conv1d_backward, "LSTM": nn.lstm_backward,
+                 "BiLSTM": nn.bilstm_backward}
+
+
 def dense_reference_train(model, corpus, seg, config):
-    """Reference training loop with dense gradients: every row's gradient of
-    every table, the embedding's as a dense vocab x dim table, is added into
+    """Reference training loop with dense gradients: each batch's embedding
+    gradient is added position by position into a dense vocab x dim table of
     zeros, and RMSProp updates every entry of every table.
     Returns the train losses, each step's gradients and which kinds of
     embedding rows occurred."""
@@ -287,39 +335,37 @@ def dense_reference_train(model, corpus, seg, config):
     seen = {"within": False, "across": False, "untouched": False}
     for _ in range(config.epochs):
         order = rng.permutation(len(rows))
-        nll_total = mask_total = 0.0
+        nll_total = positions = 0.0
         for start in range(0, len(rows), config.batch_size):
             batch = make_padded_batch(
                 [rows[i] for i in order[start:start + config.batch_size]],
-                config.max_len, model.pad_id)
-            denom = float(batch.mask.sum())
-            grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+                config.max_len)
             batch_ids = []
-            for row in range(batch.ids.shape[0]):
-                keep = int(batch.mask[row].sum())
-                ids = batch.ids[row, :keep]
-                seen["within"] |= len(set(ids.tolist())) < keep
-                seen["across"] |= bool(set(ids.tolist()) & set(batch_ids))
-                batch_ids += ids.tolist()
-                logits, cache = forward(model, ids)
-                loss, dlogits = nn.masked_softmax_ce(
-                    logits, batch.label_indices[row, :keep],
-                    batch.mask[row, :keep], denom=denom)
-                nll_total += loss * denom
-                for name, g in backward(model, cache, dlogits).items():
-                    if name == "embed":  # rows are unique: the dense table
-                        g = nn.embedding_backward(g.rows, g.values,
-                                                  model.vocab_size)
-                    grads[name] += g
+            for ids in np.split(batch.ids, np.cumsum(batch.lengths)[:-1]):
+                ids = ids.tolist()
+                seen["within"] |= len(set(ids)) < len(ids)
+                seen["across"] |= bool(set(ids) & set(batch_ids))
+                batch_ids += ids
             seen["untouched"] |= len(set(batch_ids)) < model.vocab_size
-            mask_total += denom
+            logits, cache = forward(model, batch.ids, batch.lengths)
+            loss, dlogits = nn.masked_softmax_ce(
+                logits, batch.label_indices, np.ones(batch.ids.size))
+            nll_total += loss * batch.ids.size
+            positions += batch.ids.size
+            grads = backward(model, cache, dlogits)
+            # the per-position embedding gradient, added into zeros
+            ids, arch_cache, dense_cache = cache
+            dfeat = nn.dense_backward(dense_cache, dlogits)[0]
+            demb = ARCH_BACKWARD[model.arch](arch_cache, dfeat)[0]
+            grads["embed"] = np.zeros_like(model.params["embed"])
+            np.add.at(grads["embed"], ids, demb)
             steps.append(grads)
             for name, g in grads.items():
                 s[name] *= config.rho
                 s[name] += (1.0 - config.rho) * g * g
                 model.params[name] -= (config.learning_rate * g
                                        / (np.sqrt(s[name]) + config.epsilon))
-        losses.append(nll_total / mask_total)
+        losses.append(nll_total / positions)
     for name, p in model.params.items():
         model.params[name] = p.astype(np.float32).astype(np.float64)
     return losses, steps, seen
@@ -360,6 +406,100 @@ def test_train_matches_dense_reference(toy, arch, monkeypatch):
             assert np.array_equal(step[name], ref_step[name]), name
     for name in trained.params:
         assert np.array_equal(trained.params[name], runs[1].params[name]), name
+
+
+def split_rows(array, lengths):
+    return np.split(array, np.cumsum(lengths)[:-1])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_packed_batch_matches_batch_of_one(toy, arch):
+    # float64, and a packed batch only reorders the sums inside the GEMMs:
+    # logits and gradients agree with the batch of one to rounding
+    corpus, labels, vocab, seg = toy
+    model = build_model(arch, small_hyper(len(labels)), vocab, labels, 5,
+                        tokenizer_mode="word")
+    sentences = (corpus.sentences[1], parse_conll("pune\tB-NEL\n").sentences[0],
+                 parse_conll(REPEATS).sentences[-1], corpus.sentences[0],
+                 corpus.sentences[4])
+    rows = []
+    for sent in sentences:
+        enc = seg.encode(sent.words)
+        rows.append((enc, [labels.index(t) for t in
+                           propagate_labels(list(sent.tags), enc)]))
+    batch = make_padded_batch(rows, max_len=5)
+    # unsorted, mixed lengths, a length-1 row and a row truncated at max_len
+    assert batch.lengths.tolist() == [4, 1, 5, 3, 4]
+    assert batch.truncated_rows == 1
+    logits, cache = forward(model, batch.ids, batch.lengths)
+    _, dlogits = nn.masked_softmax_ce(logits, batch.label_indices, batch.mask)
+    grads = backward(model, cache, dlogits)
+    expected = {name: np.zeros_like(p) for name, p in model.params.items()}
+    for ids, row_logits, row_dlogits in zip(
+            split_rows(batch.ids, batch.lengths),
+            split_rows(logits, batch.lengths),
+            split_rows(dlogits, batch.lengths)):
+        one_logits, one_cache = forward(model, ids)
+        assert np.allclose(row_logits, one_logits, rtol=1e-12, atol=1e-15)
+        for name, g in backward(model, one_cache, row_dlogits).items():
+            if isinstance(g, nn.RowGrad):
+                g = nn.embedding_backward(g.rows, g.values, model.vocab_size)
+            expected[name] += g
+    assert isinstance(grads["embed"], nn.RowGrad)
+    grads["embed"] = nn.embedding_backward(*grads["embed"], model.vocab_size)
+    for name, g in grads.items():
+        assert np.allclose(g, expected[name], rtol=1e-10, atol=1e-15), name
+
+
+def test_predict_encodings_blocks_by_subtoken_cap(toy, monkeypatch):
+    corpus, labels, vocab, seg = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    monkeypatch.setattr(taggers, "PREDICT_BLOCK_SUBTOKENS", 7)
+    blocks = []
+    real_forward = taggers.forward
+
+    def recording_forward(model, ids, lengths=None):
+        blocks.append(list(lengths))
+        return real_forward(model, ids, lengths)
+
+    monkeypatch.setattr(taggers, "forward", recording_forward)
+    encodings = [seg.encode(sent.words) for sent in corpus]
+    encodings.append(seg.encode(["pune"] * 9))  # longer than a block
+    taggers.predict_encodings(model, encodings)
+    forwarded = [n for block in blocks for n in block]
+    assert forwarded == sorted(len(enc.ids) for enc in encodings)
+    assert all(sum(block) <= 7 or len(block) == 1 for block in blocks)
+    assert [9] in blocks and len(blocks) < len(encodings)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_evaluate_labels_match_predict_sentence(arch, monkeypatch):
+    # the bench's tag-eval recounts evaluate's scores from predict_sentence
+    cfg = SynthConfig(stems_per_class=10, n_fillers=15, n_train=20,
+                      n_test=40, n_validation=5)
+    splits = generate_synthetic(cfg, seed=12)
+    test = splits["test"]
+    labels = build_label_set(splits["train"])
+    vocab = Vocab(tuple(synthetic_vocab_tokens(cfg, seed=12)))
+    seg = VocabSegmenter(vocab, "subword")
+    model = build_model(arch, small_hyper(len(labels)), vocab, labels, 8)
+    # several blocks, and sentences longer than a block
+    monkeypatch.setattr(taggers, "PREDICT_BLOCK_SUBTOKENS", 12)
+    assert max(len(seg.encode(s.words).ids) for s in test) > 12
+    recorded = []
+    token_confusion = metrics.token_confusion
+
+    def recording(pred, gold):
+        recorded.append(list(pred))
+        return token_confusion(pred, gold)
+
+    monkeypatch.setattr(metrics, "token_confusion", recording)
+    evaluate(model, test, seg, ClubbingStrategy.MAJORITY)
+    assert recorded == [
+        [tag for _, tag in predict_sentence(model, sent.words, seg,
+                                            ClubbingStrategy.MAJORITY)]
+        for sent in test]
 
 
 def test_clip_grads_counts_row_grads(toy):
@@ -465,7 +605,11 @@ def test_checkpoint_header_disagrees_with_arch(tmp_path, toy, edit):
 
 def test_checkpoint_fuzz_raises_only_subner_errors(tmp_path, toy):
     # flipped or truncated bytes under a valid checksum: only the format and
-    # header checks stand between them and the loader
+    # header checks stand between them and the loader. A flip that turns a
+    # weight into another finite value, or an unchecked header string into
+    # another valid one, cannot be detected once the file is re-signed; what
+    # can be detected must never load: a nan or inf tensor, or vocab tokens
+    # that do not give the header's fingerprint
     _, labels, vocab, _ = toy
     rng = random.Random(505)
     path = tmp_path / "fuzz.ckpt"
@@ -490,11 +634,51 @@ def test_checkpoint_fuzz_raises_only_subner_errors(tmp_path, toy):
                     data[rng.randrange(end)] ^= rng.randrange(1, 256)
             path.write_bytes(bytes(data) + hashlib.sha256(data).digest()[:8])
             try:
-                with np.errstate(invalid="ignore"):
-                    load_checkpoint(path)
-                outcomes["loaded"] += 1
+                loaded = load_checkpoint(path)
             except SubnerError:
                 outcomes["rejected"] += 1
+                continue
             except Exception as exc:  # noqa: BLE001 - the property under test
                 pytest.fail(f"{arch} trial {trial}: {type(exc).__name__}: {exc}")
+            outcomes["loaded"] += 1
+            for name, tensor in loaded.params.items():
+                assert np.isfinite(tensor).all(), (arch, trial, name)
+            assert loaded.vocab.token_of == vocab.token_of, (arch, trial)
     assert outcomes["rejected"] > outcomes["loaded"] > 0
+
+
+def test_checkpoint_round_trip_in_chunks(tmp_path, toy, monkeypatch):
+    # tensors are read a few values at a time, across chunk boundaries
+    _, labels, vocab, _ = toy
+    monkeypatch.setattr(taggers, "LOAD_CHUNK", 5)
+    for arch in ARCHS:
+        model = build_model(arch, small_hyper(len(labels)), vocab, labels, 3,
+                            tokenizer_mode="word")
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        for name in model.params:
+            assert np.array_equal(model.params[name], loaded.params[name])
+
+
+@pytest.mark.parametrize("poison", ["nan", "inf", "fingerprint", "token"])
+def test_checkpoint_rejects_poisoned_tensors_and_vocab(tmp_path, toy, poison,
+                                                       monkeypatch):
+    # the poisoned value sits in a later chunk of its tensor
+    monkeypatch.setattr(taggers, "LOAD_CHUNK", 5)
+    _, labels, vocab, _ = toy
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0,
+                        tokenizer_mode="word")
+    if poison in ("nan", "inf"):
+        model.params["conv_w"][1, 2, 3] = float(poison)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    if poison == "fingerprint":
+        resign_header(path, lambda header: header.update(
+            vocab_fingerprint="0" * 64))
+    elif poison == "token":
+        resign_header(path, lambda header: header["vocab_tokens"].__setitem__(
+            -1, header["vocab_tokens"][-1] + "x"))
+    with pytest.raises(CorruptCheckpoint,
+                       match="nan or inf" if poison in ("nan", "inf")
+                       else "fingerprint"):
+        load_checkpoint(path)
