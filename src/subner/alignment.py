@@ -69,7 +69,9 @@ class PackedBatch:
 
     @property
     def mask(self) -> np.ndarray:
-        """Loss mask over the batch's positions: every position is real."""
+        """All ones, one per position: every position is real. Nothing in
+        the package reads it; bench/tracer.py counts real over all positions
+        from it for its `alignment.pad_ratio` counter."""
         return np.ones(self.ids.size)
 
 

@@ -20,6 +20,7 @@ from .errors import (
     DuplicateToken,
     EmptyCorpus,
     InvalidConfig,
+    InvalidHyper,
     MalformedLine,
     MissingSpecial,
     SubnerError,
@@ -49,7 +50,8 @@ HYPER_KEYS = dict.fromkeys(("embed_dim", "conv_filters", "conv_kernel",
 
 def _configs_from_kv(kv, num_labels, seed_override=None):
     """(TrainConfig, Hyperparams) from flat key=value settings; a key that
-    names neither a training setting nor a model size raises InvalidConfig."""
+    names neither a training setting nor a model size, or a value out of its
+    range, raises InvalidConfig."""
     unknown = [key for key in kv if key not in CONFIG_KEYS and key not in HYPER_KEYS]
     if unknown:
         raise InvalidConfig(f"unknown config key {', '.join(map(repr, unknown))}")
@@ -58,8 +60,11 @@ def _configs_from_kv(kv, num_labels, seed_override=None):
     if seed_override is not None:
         config["seed"] = seed_override
     hyper = {key: int(value) for key, value in kv.items() if key in HYPER_KEYS}
-    return (taggers_mod.TrainConfig(**config),
-            taggers_mod.Hyperparams(num_labels=num_labels, **hyper))
+    try:
+        return (taggers_mod.TrainConfig(**config),
+                taggers_mod.Hyperparams(num_labels=num_labels, **hyper))
+    except InvalidHyper as exc:
+        raise InvalidConfig(str(exc)) from exc
 
 
 def _build_segmenters(spec, train_corpus, base):
@@ -87,10 +92,10 @@ def _build_segmenters(spec, train_corpus, base):
         splits = [tok_mod.load_external_segmentation(p) if p not in ("", "-")
                   else None for p in paths]
         splits += [None] * (3 - len(splits))
-        # one id past the largest in any split is reserved for padding
-        pad_id = max((max(e.ids) + 1 for encs in splits if encs
-                      for e in encs if e.ids), default=0)
-        segs = [tok_mod.PrecomputedSegmenter(encs, pad_id=pad_id)
+        # a model embeds every id of every split, test ids included
+        vocab_size = max((max(e.ids) + 1 for encs in splits if encs
+                          for e in encs if e.ids), default=1)
+        segs = [tok_mod.PrecomputedSegmenter(encs, vocab_size)
                 if encs is not None else None for encs in splits]
         return segs[0], segs[1], segs[2], "external:" + ",".join(paths)
     raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
@@ -169,8 +174,7 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
 
     model = taggers_mod.build_model(arch, hyper, seg_train.vocab, labels,
                                     config.seed, tokenizer_mode=seg_train.mode,
-                                    vocab_size=seg_train.vocab_size,
-                                    pad_id=seg_train.pad_id)
+                                    vocab_size=seg_train.vocab_size)
     t0 = time.perf_counter()
     model, history = taggers_mod.train(model, train_corpus, val_corpus,
                                        seg_train, config, val_segmenter=seg_val)
@@ -237,15 +241,15 @@ def cmd_predict(args):
     segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)
     strategy = ClubbingStrategy.parse(args.strategy)
     with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
-            words = line.split()
-            if not words:
-                print()
-                continue
-            for word, tag in taggers_mod.predict_sentence(model, words,
-                                                          segmenter, strategy):
+        lines = [line.split() for line in fh]
+    tagged = iter(taggers_mod.predict_encodings(
+        model, [segmenter.encode(words) for words in lines if words], strategy))
+    for words in lines:
+        if words:
+            word_tags, _ = next(tagged)
+            for word, tag in zip(words, word_tags):
                 print(f"{word}\t{tag}")
-            print()
+        print()
     return 0
 
 
@@ -254,7 +258,7 @@ def cmd_eval(args):
     test_corpus = _read_corpus(args.test, "test")
     if args.seg:
         segmenter = tok_mod.PrecomputedSegmenter(
-            tok_mod.load_external_segmentation(args.seg), pad_id=model.pad_id
+            tok_mod.load_external_segmentation(args.seg), model.vocab_size
         )
     elif model.vocab is not None:
         segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)

@@ -293,9 +293,7 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> dict[str, LabeledCorpus]:
     return splits
 
 
-def synthetic_vocab_tokens(cfg: SynthConfig, seed: int,
-                           pad_token: str = "[PAD]",
-                           unk_token: str = "[UNK]") -> list[str]:
+def synthetic_vocab_tokens(cfg: SynthConfig, seed: int) -> list[str]:
     """WordPiece vocab covering the synthetic corpus, including unseen stems.
 
     Single characters appear in both word-initial and continuation form, so any
@@ -304,7 +302,7 @@ def synthetic_vocab_tokens(cfg: SynthConfig, seed: int,
     """
     rng = random.Random(seed)
     _, _, fillers = _build_pools(cfg, rng)
-    tokens = [pad_token, unk_token]
+    tokens = ["[PAD]", "[UNK]"]
     tokens.extend(sorted(_LETTERS))
     tokens.extend("##" + c for c in sorted(_LETTERS))
     all_suffixes = sorted(s for cls in cfg.classes for s in cfg.suffixes[cls])

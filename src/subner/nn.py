@@ -1,10 +1,10 @@
 """Minimal differentiable numeric core: embedding, 1D convolution, LSTM,
-BiLSTM, dense, masked softmax cross-entropy, and RMSProp.
+BiLSTM, dense, softmax cross-entropy, and RMSProp.
 
 Every layer takes a *packed batch* in float64: the real positions of all
 rows concatenated into one flat (N, dim) array, plus each row's length
 (`lengths`, summing to N; omitted, the array is one row). No pad position
-exists, so nothing can leak through padding and the loss mask is all ones.
+exists, so nothing can leak through padding.
 Embedding, dense and the cross-entropy work position by position. The
 convolution puts its zero padding at each row boundary before im2col. The
 LSTM computes its input projection as one matrix product over all
@@ -336,39 +336,35 @@ def dense_backward(cache, dy):
 
 
 # ---------------------------------------------------------------------------
-# Masked softmax cross-entropy
+# Softmax cross-entropy
 
 
-def masked_softmax_ce(logits, targets, mask, denom=None):
-    """Mean masked cross-entropy and its gradient w.r.t. logits.
-
-    loss = sum_t mask_t * -log softmax(logits_t)[targets_t] / denom, where
-    denom defaults to the mask sum. Gradient is zero at masked positions.
-    """
+def masked_softmax_ce(logits, targets):
+    """Mean cross-entropy over all positions and its gradient w.r.t. logits:
+    loss = sum_t -log softmax(logits_t)[targets_t] / N. (The name is older
+    than packing, which left no position to mask; bench/tracer.py wraps the
+    function under it.) Raises AllMasked for an empty batch."""
     targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.float64)
     n, m = logits.shape
-    if targets.shape != (n,) or mask.shape != (n,):
+    if targets.shape != (n,):
         raise ShapeMismatch(
-            f"lengths disagree: logits {logits.shape}, targets "
-            f"{targets.shape}, mask {mask.shape}"
+            f"lengths disagree: logits {logits.shape}, targets {targets.shape}"
         )
-    if targets.size and (targets.min() < 0 or targets.max() >= m):
+    if n == 0:
+        raise AllMasked("empty batch: no position to score")
+    if targets.min() < 0 or targets.max() >= m:
         raise IdOutOfRange(f"targets outside [0, {m})")
-    msum = mask.sum()
-    if denom is None:
-        if msum == 0:
-            raise AllMasked("all positions masked")
-        denom = msum
     zmax = logits.max(axis=1, keepdims=True)
     z = logits - zmax
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     nll = -logp[np.arange(n), targets]
-    loss = float((nll * mask).sum() / denom)
+    loss = float(nll.sum() / n)
     grad = np.exp(logp)
     grad[np.arange(n), targets] -= 1.0
-    grad *= (mask / denom)[:, None]
+    # times 1/n, not divided by n: the two can differ in the last bit, and
+    # equal-seed checkpoints and histories are pinned to this one
+    grad *= 1.0 / n
     return loss, grad
 
 

@@ -79,6 +79,8 @@ class TrainConfig:
             raise InvalidHyper("bad optimizer settings")
         if self.patience < 1:
             raise InvalidHyper("patience must be >= 1")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise InvalidHyper("grad_clip must be positive")
 
 
 @dataclass
@@ -107,7 +109,6 @@ class TaggerModel:
     vocab: Vocab | None           # None for externally segmented input
     tokenizer_mode: str           # word | subword | external
     vocab_size: int
-    pad_id: int
     params: dict[str, np.ndarray]
 
     @property
@@ -130,8 +131,7 @@ def _round_to_f32_grid(params):
 
 def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
                 labels: LabelSet, seed: int, tokenizer_mode: str | None = None,
-                vocab_size: int | None = None,
-                pad_id: int | None = None) -> TaggerModel:
+                vocab_size: int | None = None) -> TaggerModel:
     """Initialize a tagger deterministically from a seed.
 
     Embedding/conv/dense weights ~ U(-0.05, 0.05); LSTM weights
@@ -145,12 +145,11 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
         )
     if vocab is not None:
         vocab_size = len(vocab)
-        pad_id = vocab.pad_id
         tokenizer_mode = tokenizer_mode or "subword"
-    elif vocab_size is None or pad_id is None or tokenizer_mode is None:
-        raise InvalidHyper("vocab-less model needs vocab_size, pad_id, tokenizer_mode")
-    if vocab_size < 1 or not 0 <= pad_id < vocab_size:
-        raise InvalidHyper(f"bad vocab_size {vocab_size} / pad_id {pad_id}")
+    elif vocab_size is None or tokenizer_mode is None:
+        raise InvalidHyper("vocab-less model needs vocab_size, tokenizer_mode")
+    if vocab_size < 1:
+        raise InvalidHyper(f"bad vocab_size {vocab_size}")
 
     rng = np.random.default_rng(seed)
     d = hyper.embed_dim
@@ -168,7 +167,7 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
         W, U, b = nn.init_lstm_params(rng, d, hyper.bilstm_hidden)
         params.update(lstm_bw_W=W, lstm_bw_U=U, lstm_bw_b=b)
     model = TaggerModel(arch, hyper, labels, vocab, tokenizer_mode,
-                        vocab_size, pad_id, params)
+                        vocab_size, params)
     params["dense_W"] = rng.uniform(-0.05, 0.05,
                                     size=(model.feature_width, len(labels)))
     params["dense_b"] = np.zeros(len(labels))
@@ -327,7 +326,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
           val_corpus: LabeledCorpus | None, segmenter,
           config: TrainConfig,
           val_segmenter=None) -> tuple[TaggerModel, TrainHistory]:
-    """Seeded shuffle, propagated labels, masked CE, RMSProp; keeps the
+    """Seeded shuffle, propagated labels, softmax CE, RMSProp; keeps the
     best-validation parameters when a validation split is given (early
     stopping, configurable patience).
 
@@ -388,8 +387,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             if batch.ids.size == 0:
                 continue
             logits, cache = forward(model, batch.ids, batch.lengths)
-            loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices,
-                                                 batch.mask)
+            loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch + 1}: batch loss is {loss}")
             nll_total += loss * batch.ids.size
@@ -442,11 +440,9 @@ def save_checkpoint(model: TaggerModel, path):
         "labels": list(model.labels.labels),
         "tokenizer_mode": model.tokenizer_mode,
         "vocab_size": model.vocab_size,
-        "pad_id": model.pad_id,
         "vocab_fingerprint": model.vocab_fingerprint(),
         "vocab_tokens": list(model.vocab.token_of) if model.vocab else None,
         "unk_token": model.vocab.unk_token if model.vocab else None,
-        "pad_token": model.vocab.pad_token if model.vocab else None,
         "continuation_prefix": model.vocab.continuation_prefix if model.vocab else None,
         "tensors": [[name, list(model.params[name].shape)]
                     for name in sorted(model.params)],
@@ -465,9 +461,9 @@ def save_checkpoint(model: TaggerModel, path):
     atomic_write_bytes(path, bytes(blob))
 
 
-HEADER_KEYS = ("arch", "continuation_prefix", "hyper", "labels", "pad_id",
-               "pad_token", "tensors", "tokenizer_mode", "unk_token",
-               "vocab_fingerprint", "vocab_size", "vocab_tokens")
+HEADER_KEYS = ("arch", "continuation_prefix", "hyper", "labels", "tensors",
+               "tokenizer_mode", "unk_token", "vocab_fingerprint",
+               "vocab_size", "vocab_tokens")
 
 
 def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
@@ -487,14 +483,13 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
         labels = LabelSet(tuple(header["labels"]))
     except (TypeError, ValueError, InvalidHyper) as exc:
         raise CorruptCheckpoint(f"bad header: {exc}") from exc
-    vocab_size, pad_id = header["vocab_size"], header["pad_id"]
+    vocab_size = header["vocab_size"]
     tokens = header["vocab_tokens"]
-    if (not isinstance(vocab_size, int) or not isinstance(pad_id, int)
-            or not 0 <= pad_id < vocab_size
+    if (not isinstance(vocab_size, int) or vocab_size < 1
             or (tokens is not None and (not isinstance(tokens, list)
                                         or len(tokens) != vocab_size))
             or hyper.num_labels != len(labels)):
-        raise CorruptCheckpoint("header sizes disagree: vocab, pad id or labels")
+        raise CorruptCheckpoint("header sizes disagree: vocab or labels")
     if tokens is not None and header["tokenizer_mode"] not in ("word", "subword"):
         raise CorruptCheckpoint(
             f"tokenizer mode {header['tokenizer_mode']!r} cannot segment "
@@ -513,15 +508,11 @@ def _vocab_from_header(header) -> Vocab | None:
     if header["vocab_tokens"] is None:
         return None
     try:
-        vocab = Vocab(tuple(header["vocab_tokens"]),
-                      unk_token=header["unk_token"],
-                      pad_token=header["pad_token"],
-                      continuation_prefix=header["continuation_prefix"])
+        return Vocab(tuple(header["vocab_tokens"]),
+                     unk_token=header["unk_token"],
+                     continuation_prefix=header["continuation_prefix"])
     except (TypeError, DuplicateToken, MissingSpecial) as exc:
         raise CorruptCheckpoint(f"bad header vocab: {exc}") from exc
-    if vocab.pad_id != header["pad_id"]:
-        raise CorruptCheckpoint("header pad id is not the vocab's pad token")
-    return vocab
 
 
 # A load hashes the file, then reads and widens each tensor this many
@@ -584,7 +575,6 @@ def load_checkpoint(path) -> TaggerModel:
         vocab=vocab,
         tokenizer_mode=header["tokenizer_mode"],
         vocab_size=header["vocab_size"],
-        pad_id=header["pad_id"],
         params=params,
     )
     if model.vocab_fingerprint() != header["vocab_fingerprint"]:

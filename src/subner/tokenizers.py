@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .corpus import LabeledCorpus
 from .errors import DuplicateToken, InvariantViolation, MissingSpecial
 
-DEFAULT_PAD = "[PAD]"
 DEFAULT_UNK = "[UNK]"
 
 
@@ -22,7 +21,6 @@ DEFAULT_UNK = "[UNK]"
 class Vocab:
     token_of: tuple[str, ...]
     unk_token: str = DEFAULT_UNK
-    pad_token: str = DEFAULT_PAD
     continuation_prefix: str = "##"
     max_word_chars: int = 100
     id_of: dict[str, int] = field(init=False, repr=False)
@@ -33,17 +31,12 @@ class Vocab:
             if token in self.id_of:
                 raise DuplicateToken(token, idx)
             self.id_of[token] = idx
-        for special in (self.unk_token, self.pad_token):
-            if special not in self.id_of:
-                raise MissingSpecial(special)
+        if self.unk_token not in self.id_of:
+            raise MissingSpecial(self.unk_token)
 
     @property
     def unk_id(self) -> int:
         return self.id_of[self.unk_token]
-
-    @property
-    def pad_id(self) -> int:
-        return self.id_of[self.pad_token]
 
     def __len__(self):
         return len(self.token_of)
@@ -98,22 +91,23 @@ class FertilityStats:
     sentence_lengths: dict[int, int]  # subtoken length -> sentence count
 
 
-def load_vocab(path, unk_token: str = DEFAULT_UNK, pad_token: str = DEFAULT_PAD,
+def load_vocab(path, unk_token: str = DEFAULT_UNK,
                continuation_prefix: str = "##") -> Vocab:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
     tokens = tuple(line.rstrip("\r") for line in lines)
-    return Vocab(tokens, unk_token=unk_token, pad_token=pad_token,
+    return Vocab(tokens, unk_token=unk_token,
                  continuation_prefix=continuation_prefix)
 
 
 def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1,
-                     unk_token: str = DEFAULT_UNK,
-                     pad_token: str = DEFAULT_PAD) -> Vocab:
-    """Word-level baseline vocab: pad (id 0), unk (id 1), then corpus words
-    with frequency >= min_freq in first-occurrence order."""
+                     unk_token: str = DEFAULT_UNK) -> Vocab:
+    """Word-level baseline vocab: "[PAD]" (id 0), unk (id 1), then corpus
+    words with frequency >= min_freq in first-occurrence order. No word maps
+    to "[PAD]"; its row keeps word ids, and so each word's seeded initial
+    embedding, stable across versions."""
     freq = Counter()
     order = []
     for sent in corpus:
@@ -121,9 +115,9 @@ def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1,
             if word not in freq:
                 order.append(word)
             freq[word] += 1
-    tokens = [pad_token, unk_token]
+    tokens = ["[PAD]", unk_token]
     tokens.extend(w for w in order if freq[w] >= min_freq)
-    return Vocab(tuple(tokens), unk_token=unk_token, pad_token=pad_token)
+    return Vocab(tuple(tokens), unk_token=unk_token)
 
 
 def wordpiece_word(word: str, vocab: Vocab) -> list[str]:
@@ -248,23 +242,22 @@ class VocabSegmenter:
         self.vocab = vocab
         self.mode = mode
         self.vocab_size = len(vocab)
-        self.pad_id = vocab.pad_id
 
     def encode(self, words, index: int | None = None) -> SubwordEncoding:
         return segment_sentence(words, self.vocab, self.mode)
 
 
 class PrecomputedSegmenter:
-    """Serves externally produced encodings by corpus position."""
+    """Serves externally produced encodings by corpus position. `vocab_size`
+    is the embedding table size of a model over them: one past the largest
+    id of every split the same tokenizer segmented."""
 
     mode = "external"
     vocab = None
 
-    def __init__(self, encodings: list[SubwordEncoding], pad_id: int | None = None):
+    def __init__(self, encodings: list[SubwordEncoding], vocab_size: int):
         self.encodings = list(encodings)
-        max_id = max((max(e.ids) for e in self.encodings if e.ids), default=-1)
-        self.pad_id = pad_id if pad_id is not None else max_id + 1
-        self.vocab_size = max(max_id + 1, self.pad_id + 1)
+        self.vocab_size = vocab_size
 
     def encode(self, words, index: int | None = None) -> SubwordEncoding:
         if index is None:

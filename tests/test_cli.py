@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subner.alignment import ClubbingStrategy
 from subner.cli import CONFIG_KEYS, HYPER_KEYS, main
 from subner.taggers import Hyperparams, TrainConfig
 
@@ -187,6 +188,43 @@ def test_predict(trained, tmp_path, capsys):
     assert all("\t" in l for l in lines)
 
 
+@pytest.mark.parametrize("arch", ["CNN", "BiLSTM"])
+def test_predict_matches_per_line_tagging(arch, synth_dir, tmp_path, capsys,
+                                          monkeypatch):
+    from subner import taggers
+    from subner.corpus import build_label_set, parse_conll
+    from subner.tokenizers import VocabSegmenter, load_vocab
+
+    train = parse_conll((synth_dir / "train.conll").read_text(), "train")
+    test = parse_conll((synth_dir / "test.conll").read_text(), "test")
+    labels = build_label_set(train)
+    vocab = load_vocab(synth_dir / "vocab.txt")
+    hyper = Hyperparams(embed_dim=8, conv_filters=8, bilstm_hidden=6,
+                        num_labels=len(labels))
+    model = taggers.build_model(arch, hyper, vocab, labels, 4)
+    ckpt = tmp_path / "model.ckpt"
+    taggers.save_checkpoint(model, ckpt)
+    # mixed lengths, unknown words, leading, repeated and blank-looking lines
+    lines = ["", " ".join(test.sentences[0].words), "", "   ", "xq zzv",
+             " ".join(test.sentences[1].words * 4), "\t",
+             *(" ".join(s.words) for s in test.sentences[2:9]), ""]
+    text = tmp_path / "input.txt"
+    text.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # several blocks, and a line longer than a block
+    monkeypatch.setattr(taggers, "PREDICT_BLOCK_SUBTOKENS", 10)
+
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(text),
+                 "--strategy", "majority"]) == 0
+    seg = VocabSegmenter(vocab, "subword")
+    expected = ""
+    for line in lines:
+        for word, tag in taggers.predict_sentence(
+                model, line.split(), seg, ClubbingStrategy.MAJORITY):
+            expected += f"{word}\t{tag}\n"
+        expected += "\n"
+    assert capsys.readouterr().out == expected
+
+
 def test_compare_grid(synth_dir, tmp_path, capsys):
     grid = tmp_path / "grid.cfg"
     grid.write_text(
@@ -315,6 +353,28 @@ def test_train_unknown_config_key_exit_2(synth_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "unknown config key 'learnig_rate'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, error", [
+    ("learning_rate = -1", "bad optimizer settings"),
+    ("epochs = 0", "epochs, batch_size, max_len must be positive"),
+    ("embed_dim = 0", "embed_dim must be a positive integer"),
+    ("grad_clip = -1", "grad_clip must be positive"),
+    ("grad_clip = 0", "grad_clip must be positive"),
+], ids=["learning_rate", "epochs", "embed_dim", "grad_clip_negative",
+        "grad_clip_zero"])
+def test_train_out_of_range_config_exit_2(synth_dir, tmp_path, capsys,
+                                          setting, error):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CONFIG + setting + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--config", str(cfg), "--out", str(out),
+    ])
+    assert code == 2
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -525,6 +585,35 @@ def test_compare_external_tokenizers(synth_dir, tmp_path):
     assert rows["no-train"] == ["failed"] * 4
     record = json.loads((out / "no-train.CNN.run.json").read_text())
     assert record["error"] == "tokenizer spec provides no training segmentation"
+
+
+def test_external_embedding_covers_every_split(synth_dir, tmp_path):
+    # a test-split id above every training id still has a row
+    from subner.taggers import load_checkpoint
+
+    write_word_segmentation(synth_dir, tmp_path)
+    train_ids = [i for line in (tmp_path / "train.jsonl").read_text().splitlines()
+                 for i in json.loads(line)["ids"]]
+    test_lines = (tmp_path / "test.jsonl").read_text().splitlines()
+    record = json.loads(test_lines[0])
+    record["ids"][0] = max(train_ids) + 7
+    test_lines[0] = json.dumps(record)
+    (tmp_path / "test.jsonl").write_text("\n".join(test_lines) + "\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
+        "archs = CNN\n"
+        f"train = {synth_dir / 'train.conll'}\n"
+        f"test = {synth_dir / 'test.conll'}\n"
+        + SMALL_GRID_CONFIG,
+        encoding="utf-8",
+    )
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 0
+    assert json.loads((out / "ext.CNN.run.json").read_text())["status"] == "ok"
+    model = load_checkpoint(out / "ext.CNN.ckpt")
+    assert model.vocab_size == max(train_ids) + 8
+    assert model.params["embed"].shape[0] == max(train_ids) + 8
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -348,8 +348,7 @@ def dense_reference_train(model, corpus, seg, config):
                 batch_ids += ids
             seen["untouched"] |= len(set(batch_ids)) < model.vocab_size
             logits, cache = forward(model, batch.ids, batch.lengths)
-            loss, dlogits = nn.masked_softmax_ce(
-                logits, batch.label_indices, np.ones(batch.ids.size))
+            loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices)
             nll_total += loss * batch.ids.size
             positions += batch.ids.size
             grads = backward(model, cache, dlogits)
@@ -432,7 +431,7 @@ def test_packed_batch_matches_batch_of_one(toy, arch):
     assert batch.lengths.tolist() == [4, 1, 5, 3, 4]
     assert batch.truncated_rows == 1
     logits, cache = forward(model, batch.ids, batch.lengths)
-    _, dlogits = nn.masked_softmax_ce(logits, batch.label_indices, batch.mask)
+    _, dlogits = nn.masked_softmax_ce(logits, batch.label_indices)
     grads = backward(model, cache, dlogits)
     expected = {name: np.zeros_like(p) for name, p in model.params.items()}
     for ids, row_logits, row_dlogits in zip(
@@ -509,7 +508,7 @@ def test_clip_grads_counts_row_grads(toy):
     enc = seg.encode(corpus.sentences[1].words)
     logits, cache = forward(model, enc.ids)
     label_idx = [labels.index(t) for t in corpus.sentences[1].tags]
-    _, dlogits = nn.masked_softmax_ce(logits, label_idx, np.ones(len(label_idx)))
+    _, dlogits = nn.masked_softmax_ce(logits, label_idx)
     grads = backward(model, cache, dlogits)
     assert isinstance(grads["embed"], nn.RowGrad)
 
@@ -580,8 +579,6 @@ HEADER_EDITS = {
         vocab_size=header["vocab_size"] + 1),
     "label_dropped": lambda header: header["labels"].pop(),
     "hyper_unknown_key": lambda header: header["hyper"].update(depth=2),
-    "pad_id": lambda header: header.update(
-        pad_id=(header["pad_id"] + 1) % header["vocab_size"]),
     "unk_token_missing": lambda header: header.update(unk_token="[NONE]"),
     "hyper_float": lambda header: header["hyper"].update(
         embed_dim=float(header["hyper"]["embed_dim"])),
@@ -601,6 +598,27 @@ def test_checkpoint_header_disagrees_with_arch(tmp_path, toy, edit):
         resign_header(path, edit)
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
+
+
+def test_checkpoint_with_pad_header_keys_loads(tmp_path, toy):
+    # checkpoints written while the format reserved a pad row also carry
+    # "pad_id" and "pad_token"; the loader ignores both
+    corpus, labels, vocab, seg = toy
+    encodings = [seg.encode(sent.words) for sent in corpus]
+    for arch in ARCHS:
+        model = build_model(arch, small_hyper(len(labels)), vocab, labels, 0,
+                            tokenizer_mode="word")
+        path = tmp_path / f"{arch}.ckpt"
+        save_checkpoint(model, path)
+        resign_header(path, lambda header: header.update(
+            pad_id=vocab.id_of["[PAD]"], pad_token="[PAD]"))
+        loaded = load_checkpoint(path)
+        assert loaded.params.keys() == model.params.keys()
+        for name in model.params:
+            assert np.array_equal(loaded.params[name], model.params[name])
+        assert loaded.vocab.token_of == vocab.token_of
+        assert (taggers.predict_encodings(loaded, encodings)
+                == taggers.predict_encodings(model, encodings))
 
 
 def test_checkpoint_fuzz_raises_only_subner_errors(tmp_path, toy):

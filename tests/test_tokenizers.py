@@ -74,6 +74,13 @@ def test_load_vocab_missing_special(tmp_path):
         load_vocab(path)
 
 
+def test_load_vocab_needs_no_pad_token(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("[UNK]\nab\n##cd\n", encoding="utf-8")
+    vocab = load_vocab(path)
+    assert segment_sentence(["abcd", "x"], vocab).ids == (1, 2, 0)
+
+
 def test_build_word_vocab_min_freq():
     corpus = parse_conll("a\tO\na\tO\nb\tO\n\n")
     vocab = build_word_vocab(corpus, min_freq=2)
@@ -239,7 +246,7 @@ def test_load_external_segmentation_monotonic(tmp_path):
 
 def test_precomputed_segmenter_requires_index():
     enc = SubwordEncoding(("a",), (3,), (0,))
-    seg = PrecomputedSegmenter([enc])
+    seg = PrecomputedSegmenter([enc], 4)
     assert seg.encode(["word"], index=0) is enc
     with pytest.raises(InvariantViolation):
         seg.encode(["word"])
