@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 input/file errors, 3 training errors, 4 evaluation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,11 +22,13 @@ from .errors import (
     EmptyCorpus,
     InvalidConfig,
     InvalidHyper,
+    InvariantViolation,
+    LabelMismatch,
     MalformedLine,
     MissingSpecial,
     SubnerError,
 )
-from .util import atomic_write_text, parse_kv_file
+from .util import atomic_write_text, dataclass_kwargs, parse_kv_file
 
 EXIT_INPUT = 2
 EXIT_TRAIN = 3
@@ -37,34 +40,33 @@ def _read_corpus(path, split_name="unsplit"):
         return corpus_mod.parse_conll(fh.read(), split_name)
 
 
-# flat config key -> parser: every TrainConfig field, then every Hyperparams
-# field but num_labels (that one comes from the label set)
-CONFIG_KEYS = {
-    **dict.fromkeys(("epochs", "batch_size", "max_len", "seed", "patience"), int),
-    **dict.fromkeys(("learning_rate", "rho", "epsilon", "grad_clip"), float),
-    "strategy": ClubbingStrategy.parse,
-}
-HYPER_KEYS = dict.fromkeys(("embed_dim", "conv_filters", "conv_kernel",
-                            "lstm_hidden", "bilstm_hidden"), int)
-
-
 def _configs_from_kv(kv, num_labels, seed_override=None):
-    """(TrainConfig, Hyperparams) from flat key=value settings; a key that
-    names neither a training setting nor a model size, or a value out of its
-    range, raises InvalidConfig."""
-    unknown = [key for key in kv if key not in CONFIG_KEYS and key not in HYPER_KEYS]
-    if unknown:
-        raise InvalidConfig(f"unknown config key {', '.join(map(repr, unknown))}")
-    config = {key: CONFIG_KEYS[key](value) for key, value in kv.items()
-              if key in CONFIG_KEYS}
+    """(TrainConfig, Hyperparams) from flat key=value settings, each key a
+    field of one of them but num_labels (that comes from the label set); an
+    unknown key, or a value that does not parse or is out of its range,
+    raises InvalidConfig."""
+    hyper_keys = {f.name for f in dataclasses.fields(taggers_mod.Hyperparams)
+                  if f.name != "num_labels"}
+    hyper = dataclass_kwargs(taggers_mod.Hyperparams,
+                             {k: v for k, v in kv.items() if k in hyper_keys})
+    config = dataclass_kwargs(taggers_mod.TrainConfig,
+                              {k: v for k, v in kv.items() if k not in hyper_keys},
+                              {"strategy": ClubbingStrategy.parse, "grad_clip": float})
     if seed_override is not None:
         config["seed"] = seed_override
-    hyper = {key: int(value) for key, value in kv.items() if key in HYPER_KEYS}
     try:
         return (taggers_mod.TrainConfig(**config),
                 taggers_mod.Hyperparams(num_labels=num_labels, **hyper))
     except InvalidHyper as exc:
         raise InvalidConfig(str(exc)) from exc
+
+
+def _load_segmentation(path):
+    """An external segmentation file's encodings; a malformed one is an input error."""
+    try:
+        return tok_mod.load_external_segmentation(path)
+    except InvariantViolation as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
 
 
 def _build_segmenters(spec, train_corpus, base):
@@ -89,7 +91,7 @@ def _build_segmenters(spec, train_corpus, base):
     if kind == "external" and colon:
         paths = [p.strip() for p in rest.split(",")]
         paths = [p if p in ("", "-") else os.path.join(base, p) for p in paths]
-        splits = [tok_mod.load_external_segmentation(p) if p not in ("", "-")
+        splits = [_load_segmentation(p) if p not in ("", "-")
                   else None for p in paths]
         splits += [None] * (3 - len(splits))
         # a model embeds every id of every split, test ids included
@@ -162,7 +164,7 @@ def cmd_tokenize(args):
 def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
                   hyper, out_dir, run_name):
     """Shared by cmd_train and cmd_compare: trains on parsed corpora with
-    `_build_segmenters` output; returns (model, RunRecord dict)."""
+    `_build_segmenters` output; returns (model, run record to write)."""
     seg_train, seg_val, _, tok_desc = tokenizer
     if seg_train is None:
         raise InvalidConfig("tokenizer spec provides no training segmentation")
@@ -185,21 +187,13 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
     taggers_mod.save_checkpoint(model, ckpt_path)
     atomic_write_text(os.path.join(out_dir, f"{run_name}.history.txt"),
                       history.to_file_text())
-    record = {
+    return model, {
         "run": run_name,
         "arch": arch,
         "tokenizer": tok_desc,
         "seed": config.seed,
-        "config": {
-            "epochs": config.epochs, "batch_size": config.batch_size,
-            "max_len": config.max_len, "learning_rate": config.learning_rate,
-            "patience": config.patience, "strategy": config.strategy.value,
-        },
-        "hyper": {
-            "embed_dim": hyper.embed_dim, "conv_filters": hyper.conv_filters,
-            "conv_kernel": hyper.conv_kernel, "lstm_hidden": hyper.lstm_hidden,
-            "bilstm_hidden": hyper.bilstm_hidden, "num_labels": hyper.num_labels,
-        },
+        "config": {**dataclasses.asdict(config), "strategy": config.strategy.value},
+        "hyper": dataclasses.asdict(hyper),
         "param_count": taggers_mod.count_params(model),
         "epochs_run": len(history.train_loss),
         "best_epoch": history.best_epoch,
@@ -208,9 +202,11 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
         "epoch_seconds": history.seconds,
         "checkpoint": ckpt_path,
     }
-    atomic_write_text(os.path.join(out_dir, f"{run_name}.run.json"),
+
+
+def _write_record(out_dir, record):
+    atomic_write_text(os.path.join(out_dir, f"{record['run']}.run.json"),
                       json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return model, record
 
 
 def cmd_train(args):
@@ -229,6 +225,7 @@ def cmd_train(args):
     tokenizer = _build_segmenters(spec, train_corpus, "")
     _, record = _run_training(train_corpus, val_corpus, tokenizer, args.arch,
                               labels, config, hyper, args.out, args.run_name)
+    _write_record(args.out, record)
     print(f"trained {record['run']}: {record['param_count']} parameters, "
           f"{record['epochs_run']} epochs, checkpoint {record['checkpoint']}")
     return 0
@@ -257,9 +254,8 @@ def cmd_eval(args):
     model = taggers_mod.load_checkpoint(args.checkpoint)
     test_corpus = _read_corpus(args.test, "test")
     if args.seg:
-        segmenter = tok_mod.PrecomputedSegmenter(
-            tok_mod.load_external_segmentation(args.seg), model.vocab_size
-        )
+        segmenter = tok_mod.PrecomputedSegmenter(_load_segmentation(args.seg),
+                                                 model.vocab_size)
     elif model.vocab is not None:
         segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)
     else:
@@ -272,6 +268,12 @@ def cmd_eval(args):
         atomic_write_text(args.out, metrics_mod.report_to_tsv(report))
         print(f"tsv report -> {args.out}")
     return 0
+
+
+# compare report column title -> EvalReport attribute, in report order; the
+# same attributes are a cell's run.json metrics
+REPORT_COLUMNS = {"F1": "macro_f1", "Precision": "macro_precision",
+                  "Recall": "macro_recall", "Accuracy": "accuracy"}
 
 
 def cmd_compare(args):
@@ -322,21 +324,15 @@ def cmd_compare(args):
                 report = metrics_mod.evaluate(model, test_corpus, seg_test,
                                               config.strategy)
                 results[(tok_name, arch)] = report
-                record["metrics"] = {
-                    "macro_f1": report.macro_f1,
-                    "macro_precision": report.macro_precision,
-                    "macro_recall": report.macro_recall,
-                    "micro_f1": report.micro_f1,
-                    "accuracy": report.accuracy,
-                }
+                record["metrics"] = {attr: getattr(report, attr) for attr in
+                                     ("micro_f1", *REPORT_COLUMNS.values())}
                 record["status"] = "ok"
                 any_ok = True
             except SubnerError as exc:
                 print(f"run {run_name} failed: {exc}", file=sys.stderr)
                 results[(tok_name, arch)] = None
                 record = {"run": run_name, "status": "failed", "error": str(exc)}
-            atomic_write_text(os.path.join(args.out, f"{run_name}.run.json"),
-                              json.dumps(record, indent=2, sort_keys=True) + "\n")
+            _write_record(args.out, record)
 
     md = _render_markdown(tokenizers, archs, results, config.strategy)
     tsv = _render_tsv(tokenizers, archs, results)
@@ -347,10 +343,6 @@ def cmd_compare(args):
 
 
 def _render_markdown(tokenizers, archs, results, strategy):
-    metric_groups = [
-        ("F1", "macro_f1"), ("Precision", "macro_precision"),
-        ("Recall", "macro_recall"), ("Accuracy", "accuracy"),
-    ]
     best_f1 = {}
     for arch in archs:
         cells = [(name, results[(name, arch)]) for name in tokenizers
@@ -358,7 +350,7 @@ def _render_markdown(tokenizers, archs, results, strategy):
         if cells:
             best_f1[arch] = max(cells, key=lambda kv: kv[1].macro_f1)[0]
     header = ["Tokenizer/Model"]
-    for title, _ in metric_groups:
+    for title in REPORT_COLUMNS:
         header.extend(f"{title} {arch}" for arch in archs)
     lines = [
         f"# Tokenizer x architecture comparison",
@@ -370,7 +362,7 @@ def _render_markdown(tokenizers, archs, results, strategy):
     ]
     for name in tokenizers:
         row = [name]
-        for title, attr in metric_groups:
+        for attr in REPORT_COLUMNS.values():
             for arch in archs:
                 report = results[(name, arch)]
                 if report is None:
@@ -387,20 +379,17 @@ def _render_markdown(tokenizers, archs, results, strategy):
 def _render_tsv(tokenizers, archs, results):
     cols = ["tokenizer"]
     for arch in archs:
-        cols.extend(f"{arch}.{m}" for m in
-                    ("macro_f1", "macro_precision", "macro_recall", "accuracy"))
+        cols.extend(f"{arch}.{attr}" for attr in REPORT_COLUMNS.values())
     lines = ["\t".join(cols)]
     for name in tokenizers:
         row = [name]
         for arch in archs:
             report = results[(name, arch)]
             if report is None:
-                row.extend(["failed"] * 4)
+                row.extend(["failed"] * len(REPORT_COLUMNS))
             else:
-                row.extend(f"{v:.6f}" for v in (
-                    report.macro_f1, report.macro_precision,
-                    report.macro_recall, report.accuracy,
-                ))
+                row.extend(f"{getattr(report, attr):.6f}"
+                           for attr in REPORT_COLUMNS.values())
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
@@ -484,7 +473,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MalformedLine, EmptyCorpus, DuplicateToken, MissingSpecial,
-            InvalidConfig) as exc:
+            InvalidConfig, LabelMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SubnerError as exc:

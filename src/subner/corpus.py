@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, InvalidConfig, MalformedLine
-from .util import parse_kv_text
+from .util import dataclass_kwargs, parse_kv_text, parse_setting
 
 OUTSIDE = "O"
 
@@ -311,49 +311,23 @@ def synthetic_vocab_tokens(cfg: SynthConfig, seed: int) -> list[str]:
     return tokens
 
 
+def _split(text, sep):
+    return tuple(part.strip() for part in text.split(sep) if part.strip())
+
+
+def _parse_suffixes(text):
+    return {cls.strip(): _split(rest, "|")
+            for cls, _, rest in (part.partition(":") for part in _split(text, ";"))}
+
+
 def parse_synth_config(text: str) -> tuple[SynthConfig, int | None]:
     """Parse the flat key=value synthetic-config format.
 
-    Documented keys: classes, suffixes, stems_per_class, n_fillers, n_train,
-    n_test, n_validation, len_min, len_max, stem_len_min, stem_len_max,
-    entity_rate, oov_rate, seed. `suffixes` uses `CLS:a|b;CLS2:c` syntax.
+    Keys: the SynthConfig fields, plus `seed`. `classes` is a comma list and
+    `suffixes` uses `CLS:a|b;CLS2:c` syntax.
     """
     kv = parse_kv_text(text)
-    kwargs = {}
-    seed = None
-    try:
-        if "classes" in kv:
-            kwargs["classes"] = tuple(
-                c.strip() for c in kv["classes"].split(",") if c.strip()
-            )
-        if "suffixes" in kv:
-            suffixes = {}
-            for part in kv["suffixes"].split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                cls, _, rest = part.partition(":")
-                suffixes[cls.strip()] = tuple(
-                    s.strip() for s in rest.split("|") if s.strip()
-                )
-            kwargs["suffixes"] = suffixes
-        for key in ("stems_per_class", "n_fillers", "n_train", "n_test",
-                    "n_validation", "len_min", "len_max", "stem_len_min",
-                    "stem_len_max"):
-            if key in kv:
-                kwargs[key] = int(kv[key])
-        for key in ("entity_rate", "oov_rate"):
-            if key in kv:
-                kwargs[key] = float(kv[key])
-        if "seed" in kv:
-            seed = int(kv["seed"])
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
-    unknown = set(kv) - {
-        "classes", "suffixes", "stems_per_class", "n_fillers", "n_train",
-        "n_test", "n_validation", "len_min", "len_max", "stem_len_min",
-        "stem_len_max", "entity_rate", "oov_rate", "seed",
-    }
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    seed = parse_setting("seed", kv.pop("seed"), int) if "seed" in kv else None
+    kwargs = dataclass_kwargs(SynthConfig, kv, {
+        "classes": lambda text: _split(text, ","), "suffixes": _parse_suffixes})
     return SynthConfig(**kwargs), seed

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .metrics import ConfusionCounts, token_confusion, token_metrics
 from .tokenizers import Vocab
+from .util import atomic_write_bytes
 
 ARCHS = ("CNN", "LSTM", "BiLSTM")
 
@@ -75,7 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
             raise InvalidHyper("epochs, batch_size, max_len must be positive")
-        if self.learning_rate <= 0 or not 0 < self.rho < 1 or self.epsilon <= 0:
+        if not (0 < self.learning_rate < math.inf and 0 < self.rho < 1
+                and 0 < self.epsilon < math.inf):
             raise InvalidHyper("bad optimizer settings")
         if self.patience < 1:
             raise InvalidHyper("patience must be >= 1")
@@ -455,10 +457,8 @@ def save_checkpoint(model: TaggerModel, path):
     blob += header_bytes
     for name in sorted(model.params):
         blob += model.params[name].astype("<f4").tobytes()
-    blob += hashlib.sha256(bytes(blob)).digest()[:8]
-    from .util import atomic_write_bytes
-
-    atomic_write_bytes(path, bytes(blob))
+    blob += hashlib.sha256(blob).digest()[:8]
+    atomic_write_bytes(path, blob)
 
 
 HEADER_KEYS = ("arch", "continuation_prefix", "hyper", "labels", "tensors",

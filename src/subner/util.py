@@ -1,6 +1,9 @@
 """Small shared helpers: flat key=value config parsing and atomic file writes."""
 
+import dataclasses
 import os
+
+from .errors import InvalidConfig
 
 
 def parse_kv_text(text):
@@ -23,6 +26,28 @@ def parse_kv_text(text):
 def parse_kv_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_kv_text(fh.read())
+
+
+def parse_setting(key, value, parse):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise InvalidConfig(f"config key {key!r}: {exc}") from exc
+
+
+def dataclass_kwargs(cls, kv, parsers=None):
+    """Keyword arguments for dataclass `cls` from flat key=value settings,
+    each value parsed by `parsers[key]`, else by the type of its field's
+    default; an unknown key or a value that does not parse raises
+    InvalidConfig naming the key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in kv.items():
+        if key not in defaults:
+            raise InvalidConfig(f"unknown config key {key!r}")
+        parse = (parsers or {}).get(key) or type(defaults[key])
+        kwargs[key] = parse_setting(key, value, parse)
+    return kwargs
 
 
 def atomic_write_text(path, text):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from subner.alignment import ClubbingStrategy
-from subner.cli import CONFIG_KEYS, HYPER_KEYS, main
+from subner.cli import main
 from subner.taggers import Hyperparams, TrainConfig
 
 SYNTH_CONFIG = """
@@ -337,10 +337,35 @@ def test_compare_malformed_corpus_exit_2_before_training(synth_dir, tmp_path):
     assert not list(out.glob("*.ckpt"))
 
 
-def test_config_keys_are_the_dataclass_fields():
-    fields = ({f.name for f in dataclasses.fields(TrainConfig)}
-              | {f.name for f in dataclasses.fields(Hyperparams)})
-    assert set(CONFIG_KEYS) | set(HYPER_KEYS) == fields - {"num_labels"}
+# a value other than the default for every setting a config file may hold
+NON_DEFAULT_SETTINGS = {
+    "epochs": 2, "batch_size": 4, "max_len": 20, "learning_rate": 0.002,
+    "rho": 0.8, "epsilon": 1e-7, "seed": 5, "patience": 2,
+    "strategy": "majority", "grad_clip": 5.0, "embed_dim": 8,
+    "conv_filters": 8, "conv_kernel": 5, "lstm_hidden": 6, "bilstm_hidden": 7,
+}
+
+
+def test_run_json_records_every_config_setting(synth_dir, tmp_path):
+    defaults = {**dataclasses.asdict(TrainConfig()), "strategy": "first",
+                **dataclasses.asdict(Hyperparams())}
+    del defaults["num_labels"]  # comes from the label set
+    assert defaults.keys() == NON_DEFAULT_SETTINGS.keys()
+    assert all(defaults[key] != value
+               for key, value in NON_DEFAULT_SETTINGS.items())
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n"
+                           for key, value in NON_DEFAULT_SETTINGS.items()),
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    assert main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--config", str(cfg), "--out", str(out),
+    ]) == 0
+    record = json.loads((out / "run.run.json").read_text())
+    recorded = {**record["config"], **record["hyper"]}
+    assert recorded.pop("num_labels") == 3  # O, B-NEL, B-NEP
+    assert recorded == NON_DEFAULT_SETTINGS
 
 
 def test_train_unknown_config_key_exit_2(synth_dir, tmp_path, capsys):
@@ -362,8 +387,13 @@ def test_train_unknown_config_key_exit_2(synth_dir, tmp_path, capsys):
     ("embed_dim = 0", "embed_dim must be a positive integer"),
     ("grad_clip = -1", "grad_clip must be positive"),
     ("grad_clip = 0", "grad_clip must be positive"),
+    ("learning_rate = nan", "bad optimizer settings"),
+    ("learning_rate = inf", "bad optimizer settings"),
+    ("epsilon = nan", "bad optimizer settings"),
+    ("max_len = 3.5", "config key 'max_len'"),
 ], ids=["learning_rate", "epochs", "embed_dim", "grad_clip_negative",
-        "grad_clip_zero"])
+        "grad_clip_zero", "learning_rate_nan", "learning_rate_inf",
+        "epsilon_nan", "max_len_not_int"])
 def test_train_out_of_range_config_exit_2(synth_dir, tmp_path, capsys,
                                           setting, error):
     cfg = tmp_path / "train.cfg"
@@ -431,6 +461,19 @@ def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
     out = tmp_path / "gridout"
     assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
     assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_validation_tag_outside_label_set_exit_2(synth_dir, tmp_path,
+                                                       capsys):
+    val = with_new_tag(synth_dir / "validation.conll", tmp_path / "val.conll")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"), "--val", str(val),
+        "--arch", "CNN", "--out", str(out),
+    ])
+    assert code == 2
+    assert "corpus tag 'B-NEW' not in model label set" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -551,6 +594,26 @@ def test_external_segmentation_too_short_train_exit_3(synth_dir, tmp_path,
     assert code == 3
     assert "sentence 59: external segmentation has 59 records" in \
         capsys.readouterr().err
+
+
+def test_malformed_segmentation_exit_2(synth_dir, tmp_path, trained, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"subtokens": ["a"]\n', encoding="utf-8")
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", "external", "--seg-train", str(bad),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "bad.jsonl: sentence 0: bad JSON" in capsys.readouterr().err
+    assert not out.exists()
+    code = main([
+        "eval", "--checkpoint", str(trained[0] / "cnn.ckpt"),
+        "--test", str(synth_dir / "test.conll"), "--seg", str(bad),
+    ])
+    assert code == 2
+    assert "bad.jsonl: sentence 0: bad JSON" in capsys.readouterr().err
 
 
 def test_malformed_corpus_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -187,3 +188,43 @@ def test_parse_synth_config():
 def test_parse_synth_config_unknown_key():
     with pytest.raises(InvalidConfig):
         parse_synth_config("bogus = 1")
+
+
+def test_parse_synth_config_sets_every_field():
+    text = """
+    classes = LOC, PER, ORG
+    suffixes = LOC:pur; PER:rao|bai; ORG:kar
+    stems_per_class = 7
+    n_fillers = 9
+    n_train = 11
+    n_test = 13
+    n_validation = 5
+    len_min = 2
+    len_max = 4
+    stem_len_min = 3
+    stem_len_max = 5
+    entity_rate = 0.25
+    oov_rate = 0.125
+    """
+    cfg, seed = parse_synth_config(text)
+    assert seed is None
+    expected = {
+        "classes": ("LOC", "PER", "ORG"),
+        "suffixes": {"LOC": ("pur",), "PER": ("rao", "bai"), "ORG": ("kar",)},
+        "stems_per_class": 7, "n_fillers": 9, "n_train": 11, "n_test": 13,
+        "n_validation": 5, "len_min": 2, "len_max": 4, "stem_len_min": 3,
+        "stem_len_max": 5, "entity_rate": 0.25, "oov_rate": 0.125,
+    }
+    assert dataclasses.asdict(cfg) == expected
+    assert all(value != getattr(SynthConfig(), key)
+               for key, value in expected.items())
+
+
+@pytest.mark.parametrize("text, key", [
+    ("n_train = 3.5", "n_train"),
+    ("oov_rate = half", "oov_rate"),
+    ("seed = x", "seed"),
+])
+def test_parse_synth_config_bad_value_names_its_key(text, key):
+    with pytest.raises(InvalidConfig, match=f"config key '{key}'"):
+        parse_synth_config(text)
