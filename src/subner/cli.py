@@ -69,38 +69,42 @@ def _load_segmentation(path):
         raise InvalidConfig(f"{path}: {exc}") from exc
 
 
-def _build_segmenters(spec, train_corpus, base):
-    """Resolve a tokenizer spec into per-split segmenters.
-
-    Specs: `word`, `wordpiece:<vocab path>`,
-    `external:<train seg>,<val seg or ->,<test seg or ->`; relative paths
-    are taken relative to `base`. Returns (train_seg, val_seg, test_seg,
-    the spec with its paths resolved).
-    """
+def _parse_tokenizer_spec(spec):
+    """(kind, paths) of a grid tokenizer spec: `word`, `wordpiece:<vocab>`
+    or `external:<train seg>,<val seg or ->,<test seg or ->`."""
     kind, colon, rest = spec.partition(":")
-    if spec == "word":
+    if spec == "word" or kind == "wordpiece":
+        return kind, [rest] if colon else []
+    if kind == "external" and colon:
+        return kind, [p.strip() for p in rest.split(",")]
+    raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
+
+
+def _build_segmenters(kind, paths, train_corpus, base):
+    """(train_seg, val_seg, test_seg, description) of a tokenizer. `paths`
+    are its files, relative to `base`: none for `word`, the vocab for
+    `wordpiece`, the train, validation and test segmentations for `external`
+    (None, "" or "-" for a split without one)."""
+    paths = [None if p in (None, "", "-") else os.path.join(base, p)
+             for p in paths]  # an absolute path stays as it is
+    if kind == "word":
         vocab = tok_mod.build_word_vocab(train_corpus, min_freq=1)
         seg = tok_mod.VocabSegmenter(vocab, "word")
         return seg, seg, seg, "word"
     if kind == "wordpiece":
-        if not rest:
+        if not any(paths):
             raise InvalidConfig("wordpiece tokenizer needs --vocab")
-        path = os.path.join(base, rest)  # an absolute path stays as it is
-        seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(path), "subword")
-        return seg, seg, seg, f"wordpiece:{path}"
-    if kind == "external" and colon:
-        paths = [p.strip() for p in rest.split(",")]
-        paths = [p if p in ("", "-") else os.path.join(base, p) for p in paths]
-        splits = [_load_segmentation(p) if p not in ("", "-")
-                  else None for p in paths]
-        splits += [None] * (3 - len(splits))
-        # a model embeds every id of every split, test ids included
-        vocab_size = max((max(e.ids) + 1 for encs in splits if encs
-                          for e in encs if e.ids), default=1)
-        segs = [tok_mod.PrecomputedSegmenter(encs, vocab_size)
-                if encs is not None else None for encs in splits]
-        return segs[0], segs[1], segs[2], "external:" + ",".join(paths)
-    raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
+        seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(paths[0]), "subword")
+        return seg, seg, seg, f"wordpiece:{paths[0]}"
+    paths += [None] * (3 - len(paths))
+    splits = [_load_segmentation(p) if p else None for p in paths]
+    # a model embeds every id of every split, test ids included
+    vocab_size = max((max(e.ids) + 1 for encs in splits if encs
+                      for e in encs if e.ids), default=1)
+    segs = [tok_mod.PrecomputedSegmenter(encs, vocab_size)
+            if encs is not None else None for encs in splits]
+    return (segs[0], segs[1], segs[2],
+            "external:" + ",".join(p or "-" for p in paths))
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +146,18 @@ def cmd_synth(args):
 
 def cmd_tokenize(args):
     corpus = _read_corpus(args.input)
-    if args.mode == "word" and args.vocab is None:
+    if args.vocab is not None:
+        vocab = tok_mod.load_vocab(args.vocab)
+    elif args.mode == "word":
         vocab = tok_mod.build_word_vocab(corpus, min_freq=1)
     else:
-        if args.vocab is None:
-            raise SubnerError("subword mode needs --vocab")
-        vocab = tok_mod.load_vocab(args.vocab)
-    shown = 0
-    for sent in corpus:
-        if args.limit is not None and shown >= args.limit:
-            break
-        enc = tok_mod.segment_sentence(sent.words, vocab, args.mode)
+        raise SubnerError("subword mode needs --vocab")
+    encodings = [tok_mod.segment_sentence(sent.words, vocab, args.mode)
+                 for sent in corpus]
+    shown = encodings if args.limit is None else encodings[:max(args.limit, 0)]
+    for enc in shown:
         print(" ".join(enc.subtokens))
-        shown += 1
-    stats = tok_mod.fertility_stats(corpus, vocab, args.mode)
+    stats = tok_mod.encoding_fertility(encodings, vocab.unk_id)
     print(f"# words {stats.words_total}  subtokens {stats.subtokens_total}  "
           f"fertility {stats.fertility:.4f}  unk_word_rate {stats.unk_word_rate:.4f}")
     return 0
@@ -211,18 +213,22 @@ def _write_record(out_dir, record):
 
 def cmd_train(args):
     kv = parse_kv_file(args.config) if args.config else {}
-    spec = args.tokenizer
-    if spec == "wordpiece" and args.vocab:
-        spec = f"wordpiece:{args.vocab}"
-    if spec == "external":
-        seg_paths = [args.seg_train or "-", args.seg_val or "-", "-"]
-        spec = "external:" + ",".join(seg_paths)
+    # the flags that give the tokenizer's paths, in path order
+    path_flags = {"word": (), "wordpiece": ("vocab",),
+                  "external": ("seg_train", "seg_val")}.get(args.tokenizer)
+    if path_flags is None:
+        raise InvalidConfig(f"unknown tokenizer spec {args.tokenizer!r}")
+    for flag in ("vocab", "seg_train", "seg_val"):
+        if getattr(args, flag) is not None and flag not in path_flags:
+            raise InvalidConfig(f"--{flag.replace('_', '-')} is not read by "
+                                f"the {args.tokenizer} tokenizer")
     train_corpus = _read_corpus(args.train, "train")
     val_corpus = _read_corpus(args.val, "validation") if args.val else None
     labels = corpus_mod.build_label_set(train_corpus)
     config, hyper = _configs_from_kv(kv, len(labels), args.seed)
     # paths on the command line stay relative to the working directory
-    tokenizer = _build_segmenters(spec, train_corpus, "")
+    tokenizer = _build_segmenters(
+        args.tokenizer, [getattr(args, f) for f in path_flags], train_corpus, "")
     _, record = _run_training(train_corpus, val_corpus, tokenizer, args.arch,
                               labels, config, hyper, args.out, args.run_name)
     _write_record(args.out, record)
@@ -305,7 +311,8 @@ def cmd_compare(args):
         if corpus is not None:
             taggers_mod.check_label_compat(labels, corpus)
     config, hyper = _configs_from_kv(settings, len(labels))
-    tokenizers = {name: _build_segmenters(spec, train_corpus, base)
+    tokenizers = {name: _build_segmenters(*_parse_tokenizer_spec(spec),
+                                          train_corpus, base)
                   for name, spec in specs.items()}
     os.makedirs(args.out, exist_ok=True)
 

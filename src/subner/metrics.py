@@ -21,15 +21,6 @@ class ConfusionCounts:
     total_tokens: int = 0
     correct_tokens: int = 0
 
-    def add(self, other: "ConfusionCounts"):
-        for src, dst in ((other.tp, self.tp), (other.fp, self.fp),
-                         (other.fn, self.fn)):
-            for label, n in src.items():
-                dst[label] = dst.get(label, 0) + n
-        self.gold_labels |= other.gold_labels
-        self.total_tokens += other.total_tokens
-        self.correct_tokens += other.correct_tokens
-
 
 @dataclass
 class ClassMetrics:
@@ -188,7 +179,8 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
              strategy: ClubbingStrategy = ClubbingStrategy.FIRST,
              span_scheme: str | None = None) -> EvalReport:
     """Predict every sentence (forwarded in length-sorted packed blocks,
-    see `taggers.predict_encodings`), club to root tokens, and score.
+    see `taggers.predict_encodings`), club to root tokens, and score the
+    split's word tags in one confusion count.
 
     Also reports pre-clubbing subtoken accuracy (against propagated gold
     labels) as a diagnostic, and fertility stats for vocab-driven segmenters.
@@ -196,26 +188,27 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     from . import taggers  # local import; taggers depends on this module
 
     taggers.check_label_compat(model.labels, corpus)
-    counts = ConfusionCounts()
-    sub_total = 0
-    sub_correct = 0
-    all_pred, all_gold = [], []
+    sub_total = sub_correct = 0
+    pred_tags, gold_tags = [], []
+    span_pred, span_gold = [], []
     encodings = [segmenter.encode(sent.words, index=idx)
                  for idx, sent in enumerate(corpus)]
     predicted = taggers.predict_encodings(model, encodings, strategy)
     for sent, enc, (word_tags, subtoken_tags) in zip(corpus, encodings,
                                                      predicted):
-        counts.add(token_confusion(word_tags, list(sent.tags)))
-        gold_sub = propagate_labels(list(sent.tags), enc)
+        pred_tags.extend(word_tags)
+        gold_tags.extend(sent.tags)
+        gold_sub = propagate_labels(sent.tags, enc)
         sub_total += len(gold_sub)
         sub_correct += sum(p == g for p, g in zip(subtoken_tags, gold_sub))
         if span_scheme is not None:
-            all_pred.extend(word_tags + [OUTSIDE])  # sentinel between sentences
-            all_gold.extend(list(sent.tags) + [OUTSIDE])
-    report = token_metrics(counts, strategy=strategy.value)
+            span_pred.extend(word_tags + [OUTSIDE])  # sentinel between sentences
+            span_gold.extend(sent.tags + (OUTSIDE,))
+    report = token_metrics(token_confusion(pred_tags, gold_tags),
+                           strategy=strategy.value)
     report.subtoken_accuracy = sub_correct / sub_total if sub_total else None
     if span_scheme is not None:
-        report.span = span_metrics(all_pred, all_gold, span_scheme)
+        report.span = span_metrics(span_pred, span_gold, span_scheme)
     if isinstance(segmenter, VocabSegmenter):
         report.fertility = encoding_fertility(encodings, segmenter.vocab.unk_id)
     return report

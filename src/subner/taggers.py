@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
-from .metrics import ConfusionCounts, token_confusion, token_metrics
+from .metrics import token_confusion, token_metrics
 from .tokenizers import Vocab
 from .util import atomic_write_bytes
 
@@ -311,12 +311,11 @@ def _clip_grads(grads, max_norm) -> float:
     return total
 
 
-def _val_macro_f1(model, val_rows, val_tags, strategy):
-    counts = ConfusionCounts()
-    predicted = predict_encodings(model, [enc for enc, _ in val_rows], strategy)
-    for (word_tags, _), gold in zip(predicted, val_tags):
-        counts.add(token_confusion(word_tags, gold))
-    return token_metrics(counts).macro_f1
+def _val_macro_f1(model, val_encodings, val_tags, strategy):
+    """Macro F1 of a split; `val_tags` are its gold word tags in order."""
+    predicted = predict_encodings(model, val_encodings, strategy)
+    pred = [tag for word_tags, _ in predicted for tag in word_tags]
+    return token_metrics(token_confusion(pred, val_tags)).macro_f1
 
 
 # An untrained tagger's mean loss is about ln(num_labels); an epoch whose
@@ -350,21 +349,17 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             raise EmptySplit(f"empty {split} split")
         check_label_compat(model.labels, corpus)
 
-    def encode_rows(corpus, seg):
-        rows = []
-        for idx, sent in enumerate(corpus):
-            enc = seg.encode(sent.words, index=idx)
-            sub_tags = propagate_labels(list(sent.tags), enc)
-            label_idx = [model.labels.index(t) for t in sub_tags]
-            rows.append((enc, label_idx))
-        return rows
-
-    train_rows = encode_rows(train_corpus, segmenter)
-    val_rows = None
-    val_tags = None
+    train_rows = []
+    for idx, sent in enumerate(train_corpus):
+        enc = segmenter.encode(sent.words, index=idx)
+        sub_tags = propagate_labels(list(sent.tags), enc)
+        train_rows.append((enc, [model.labels.index(t) for t in sub_tags]))
+    val_encodings = None
     if val_corpus is not None:
-        val_rows = encode_rows(val_corpus, val_segmenter or segmenter)
-        val_tags = [list(s.tags) for s in val_corpus]
+        val_segmenter = val_segmenter or segmenter
+        val_encodings = [val_segmenter.encode(sent.words, index=idx)
+                         for idx, sent in enumerate(val_corpus)]
+        val_tags = [tag for sent in val_corpus for tag in sent.tags]
 
     state = nn.RmspropState(model.params, learning_rate=config.learning_rate,
                             rho=config.rho, epsilon=config.epsilon)
@@ -407,9 +402,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                 f"{DIVERGED_LOSS_FACTOR} x ln({len(model.labels)}) = "
                 f"{max_loss:.6g}; training diverged")
         history.train_loss.append(mean_loss)
-        if val_rows is not None:
-            f1 = _val_macro_f1(model, val_rows, val_tags, config.strategy)
-            history.val_macro_f1.append(f1)
+        f1 = None
+        if val_encodings is not None:
+            f1 = _val_macro_f1(model, val_encodings, val_tags, config.strategy)
             if f1 > best_f1:
                 best_f1 = f1
                 best_params = {k: v.copy() for k, v in model.params.items()}
@@ -417,10 +412,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                 stale = 0
             else:
                 stale += 1
-        else:
-            history.val_macro_f1.append(None)
+        history.val_macro_f1.append(f1)
         history.seconds.append(time.perf_counter() - t0)
-        if val_rows is not None and stale >= config.patience:
+        if stale >= config.patience:  # only a validation split goes stale
             break
     if best_params is not None:
         model.params = best_params

@@ -88,7 +88,6 @@ class FertilityStats:
     fertility: float
     unk_words: int
     unk_word_rate: float
-    sentence_lengths: dict[int, int]  # subtoken length -> sentence count
 
 
 def load_vocab(path, unk_token: str = DEFAULT_UNK,
@@ -178,12 +177,10 @@ def encoding_fertility(encodings, unk_id: int) -> FertilityStats:
     words_total = 0
     subtokens_total = 0
     unk_words = 0
-    lengths = Counter()
     for enc in encodings:
         n_words = enc.n_words
         words_total += n_words
         subtokens_total += len(enc.subtokens)
-        lengths[len(enc.subtokens)] += 1
         unk_ids = enc.ids.count(unk_id)
         if unk_ids == 0:
             continue
@@ -199,7 +196,6 @@ def encoding_fertility(encodings, unk_id: int) -> FertilityStats:
         fertility=subtokens_total / words_total if words_total else 1.0,
         unk_words=unk_words,
         unk_word_rate=unk_words / words_total if words_total else 0.0,
-        sentence_lengths=dict(lengths),
     )
 
 
@@ -225,6 +221,9 @@ def load_external_segmentation(path) -> list[SubwordEncoding]:
                 raise InvariantViolation(sentence_no, f"bad record: {exc}") from exc
             if enc.word_ids and enc.word_ids[0] != 0:
                 raise InvariantViolation(sentence_no, "word_ids must start at 0")
+            if enc.ids and min(enc.ids) < 0:
+                raise InvariantViolation(sentence_no,
+                                         f"negative id {min(enc.ids)}")
             encodings.append(enc.validate(sentence_no))
     return encodings
 

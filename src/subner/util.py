@@ -9,9 +9,10 @@ from .errors import InvalidConfig
 def parse_kv_text(text):
     """Parse `key = value` lines into a dict.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored; a key given on two
+    lines raises InvalidConfig naming it and both lines.
     """
-    out = {}
+    out, line_of = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -19,7 +20,12 @@ def parse_kv_text(text):
         if "=" not in line:
             raise ValueError(f"line {line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise InvalidConfig(f"config key {key!r} repeated on lines "
+                                f"{line_of[key]} and {line_no}")
+        out[key] = value.strip()
+        line_of[key] = line_no
     return out
 
 

@@ -62,12 +62,41 @@ def test_stats_runs(synth_dir, capsys):
 
 
 def test_tokenize_subword(synth_dir, capsys):
-    assert main([
-        "tokenize", "--input", str(synth_dir / "train.conll"),
-        "--vocab", str(synth_dir / "vocab.txt"), "--limit", "2",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "fertility" in out
+    def tokenize(*limit):
+        assert main([
+            "tokenize", "--input", str(synth_dir / "train.conll"),
+            "--vocab", str(synth_dir / "vocab.txt"), *limit,
+        ]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    everything = tokenize()
+    assert len(everything) == 60 + 1  # a line per sentence, then fertility
+    assert everything[-1].startswith("# words ")
+    assert "fertility" in everything[-1]
+    assert tokenize("--limit", "2") == everything[:2] + everything[-1:]
+    # no sentence for a limit of 0 or below, and the same fertility line
+    assert tokenize("--limit", "0") == everything[-1:]
+    assert tokenize("--limit", "-1") == everything[-1:]
+
+
+@pytest.mark.parametrize("mode", ["subword", "word"])
+def test_tokenize_segments_each_sentence_once(synth_dir, capsys, monkeypatch,
+                                              mode):
+    from subner import tokenizers
+
+    calls = []
+    segment_sentence = tokenizers.segment_sentence
+
+    def counting(words, vocab, mode):
+        calls.append(words)
+        return segment_sentence(words, vocab, mode)
+
+    monkeypatch.setattr(tokenizers, "segment_sentence", counting)
+    vocab = ["--vocab", str(synth_dir / "vocab.txt")] if mode == "subword" else []
+    assert main(["tokenize", "--input", str(synth_dir / "train.conll"),
+                 "--mode", mode, *vocab]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 60 + 1
+    assert len(calls) == 60
 
 
 def test_tokenize_word_mode_fertility_one(synth_dir, capsys):
@@ -381,6 +410,47 @@ def test_train_unknown_config_key_exit_2(synth_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def with_setting(config, setting):
+    """`config` with the line `setting` in place of the one that sets the
+    same key (a key may be set only once)."""
+    key = setting.partition("=")[0].strip()
+    kept = [line for line in config.splitlines()
+            if line.partition("=")[0].strip() != key]
+    return "\n".join(kept + [setting]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "synth"])
+def test_repeated_config_key_exit_2(synth_dir, tmp_path, capsys, command):
+    cfg = tmp_path / "settings.cfg"
+    out = tmp_path / "out"
+    if command == "synth":
+        cfg.write_text(SYNTH_CONFIG + "n_train = 5\n", encoding="utf-8")
+        lines = "lines 6 and 15"  # SYNTH_CONFIG opens with a blank line
+        argv = ["synth", "--config", str(cfg)]
+        key = "n_train"
+    elif command == "train":
+        cfg.write_text("epochs = 1\nbatch_size = 4\n# again\nepochs = 2\n",
+                       encoding="utf-8")
+        lines = "lines 1 and 4"
+        argv = ["train", "--train", str(synth_dir / "train.conll"),
+                "--arch", "CNN", "--config", str(cfg)]
+        key = "epochs"
+    else:
+        cfg.write_text(
+            "tokenizer.word-based = word\n"
+            f"train = {synth_dir / 'train.conll'}\n"
+            f"test = {synth_dir / 'test.conll'}\n"
+            f"train = {synth_dir / 'validation.conll'}\n" + SMALL_GRID_CONFIG,
+            encoding="utf-8")
+        lines = "lines 2 and 4"
+        argv = ["compare", "--grid", str(cfg)]
+        key = "train"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r} repeated on {lines}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting, error", [
     ("learning_rate = -1", "bad optimizer settings"),
     ("epochs = 0", "epochs, batch_size, max_len must be positive"),
@@ -397,7 +467,7 @@ def test_train_unknown_config_key_exit_2(synth_dir, tmp_path, capsys):
 def test_train_out_of_range_config_exit_2(synth_dir, tmp_path, capsys,
                                           setting, error):
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(TRAIN_CONFIG + setting + "\n", encoding="utf-8")
+    cfg.write_text(with_setting(TRAIN_CONFIG, setting), encoding="utf-8")
     out = tmp_path / "run"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
@@ -421,6 +491,28 @@ def test_train_bad_tokenizer_exit_2(synth_dir, tmp_path, capsys, tokenizer,
     ])
     assert code == 2
     assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tokenizer, flag", [
+    ("word", "--vocab"),
+    ("word", "--seg-train"),
+    ("wordpiece", "--seg-val"),
+    ("external", "--vocab"),
+])
+def test_train_flag_the_tokenizer_does_not_read_exit_2(synth_dir, tmp_path,
+                                                       capsys, tokenizer, flag):
+    vocab = ["--vocab", str(synth_dir / "vocab.txt")]
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", tokenizer,
+        *(vocab if tokenizer == "wordpiece" else []),
+        flag, "nonexistent.txt", "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{flag} is not read by the {tokenizer} tokenizer" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -561,6 +653,70 @@ def test_external_segmentation_training(synth_dir, tmp_path, capsys):
     ])
     assert code == 4
     assert "external segmentation has 29 records" in capsys.readouterr().err
+
+
+def test_train_external_segmentation_path_with_a_comma(synth_dir, tmp_path):
+    write_word_segmentation(synth_dir, tmp_path)
+    seg = tmp_path / "seg,train.jsonl"
+    (tmp_path / "train.jsonl").rename(seg)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_GRID_CONFIG, encoding="utf-8")
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", "external", "--seg-train", str(seg),
+        "--config", str(cfg), "--out", str(out),
+    ])
+    assert code == 0
+    record = json.loads((out / "run.run.json").read_text())
+    assert record["tokenizer"] == f"external:{seg},-,-"
+
+
+def with_negative_id(path, ids):
+    """Rewrite the first record of a segmentation file with `ids` in place
+    of its leading ids."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["ids"][:len(ids)] = ids
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("ids", [[-5, 3], [-1]], ids=["mixed", "negative"])
+def test_negative_segmentation_id_exit_2(synth_dir, tmp_path, trained, capsys,
+                                         ids):
+    write_word_segmentation(synth_dir, tmp_path)
+    with_negative_id(tmp_path / "train.jsonl", ids)
+    with_negative_id(tmp_path / "test.jsonl", ids)
+    error = f"sentence 0: negative id {min(ids)}"
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", "external",
+        "--seg-train", str(tmp_path / "train.jsonl"), "--out", str(out),
+    ])
+    assert code == 2
+    assert f"train.jsonl: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
+        "archs = CNN\n"
+        f"train = {synth_dir / 'train.conll'}\n"
+        f"test = {synth_dir / 'test.conll'}\n" + SMALL_GRID_CONFIG,
+        encoding="utf-8")
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
+    assert f"train.jsonl: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+    code = main([
+        "eval", "--checkpoint", str(trained[0] / "cnn.ckpt"),
+        "--test", str(synth_dir / "test.conll"),
+        "--seg", str(tmp_path / "test.jsonl"),
+    ])
+    assert code == 2
+    assert f"test.jsonl: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("missing", ["training", "validation"])

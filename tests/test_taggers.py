@@ -495,10 +495,11 @@ def test_evaluate_labels_match_predict_sentence(arch, monkeypatch):
 
     monkeypatch.setattr(metrics, "token_confusion", recording)
     evaluate(model, test, seg, ClubbingStrategy.MAJORITY)
+    # one count over the split: its word tags in corpus order
     assert recorded == [
-        [tag for _, tag in predict_sentence(model, sent.words, seg,
-                                            ClubbingStrategy.MAJORITY)]
-        for sent in test]
+        [tag for sent in test
+         for _, tag in predict_sentence(model, sent.words, seg,
+                                        ClubbingStrategy.MAJORITY)]]
 
 
 def test_clip_grads_counts_row_grads(toy):

@@ -244,6 +244,16 @@ def test_load_external_segmentation_monotonic(tmp_path):
         load_external_segmentation(path)
 
 
+def test_load_external_segmentation_rejects_negative_ids(tmp_path):
+    path = tmp_path / "seg.jsonl"
+    _write_jsonl(path, [
+        {"subtokens": ["a"], "ids": [0], "word_ids": [0]},
+        {"subtokens": ["a", "b"], "ids": [3, -5], "word_ids": [0, 1]},
+    ])
+    with pytest.raises(InvariantViolation, match="sentence 1: negative id -5"):
+        load_external_segmentation(path)
+
+
 def test_precomputed_segmenter_requires_index():
     enc = SubwordEncoding(("a",), (3,), (0,))
     seg = PrecomputedSegmenter([enc], 4)
