@@ -61,12 +61,17 @@ def _configs_from_kv(kv, num_labels, seed_override=None):
         raise InvalidConfig(str(exc)) from exc
 
 
-def _load_segmentation(path):
-    """An external segmentation file's encodings; a malformed one is an input error."""
+def _load_segmentation(path, corpus):
+    """The encodings of `corpus` in an external segmentation file, one per
+    sentence (records past its end are not read). A malformed file, or one
+    without a record of each sentence's word count, is an input error."""
     try:
-        return tok_mod.load_external_segmentation(path)
+        encodings = tok_mod.load_external_segmentation(path)
+        for index, sent in enumerate(corpus):
+            tok_mod.sentence_record(encodings, index, sent.words)
     except InvariantViolation as exc:
         raise InvalidConfig(f"{path}: {exc}") from exc
+    return encodings[:len(corpus)]
 
 
 def _parse_tokenizer_spec(spec):
@@ -80,15 +85,17 @@ def _parse_tokenizer_spec(spec):
     raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
 
 
-def _build_segmenters(kind, paths, train_corpus, base):
+def _build_segmenters(kind, paths, corpora, base):
     """(train_seg, val_seg, test_seg, description) of a tokenizer. `paths`
     are its files, relative to `base`: none for `word`, the vocab for
     `wordpiece`, the train, validation and test segmentations for `external`
-    (None, "" or "-" for a split without one)."""
+    (None, "" or "-" for a split without one). `corpora` are the training,
+    validation and test corpora that were given (None for one that was not);
+    a segmentation file is checked against its split's corpus."""
     paths = [None if p in (None, "", "-") else os.path.join(base, p)
              for p in paths]  # an absolute path stays as it is
     if kind == "word":
-        vocab = tok_mod.build_word_vocab(train_corpus, min_freq=1)
+        vocab = tok_mod.build_word_vocab(corpora[0], min_freq=1)
         seg = tok_mod.VocabSegmenter(vocab, "word")
         return seg, seg, seg, "word"
     if kind == "wordpiece":
@@ -97,7 +104,13 @@ def _build_segmenters(kind, paths, train_corpus, base):
         seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(paths[0]), "subword")
         return seg, seg, seg, f"wordpiece:{paths[0]}"
     paths += [None] * (3 - len(paths))
-    splits = [_load_segmentation(p) if p else None for p in paths]
+    for path, corpus, split in zip(paths, corpora,
+                                   ("training", "validation", "test")):
+        if path and corpus is None:
+            raise InvalidConfig(f"{path}: segments the {split} split, "
+                                f"which has no corpus")
+    splits = [_load_segmentation(p, c) if p else None
+              for p, c in zip(paths, corpora)]
     # a model embeds every id of every split, test ids included
     vocab_size = max((max(e.ids) + 1 for encs in splits if encs
                       for e in encs if e.ids), default=1)
@@ -228,7 +241,8 @@ def cmd_train(args):
     config, hyper = _configs_from_kv(kv, len(labels), args.seed)
     # paths on the command line stay relative to the working directory
     tokenizer = _build_segmenters(
-        args.tokenizer, [getattr(args, f) for f in path_flags], train_corpus, "")
+        args.tokenizer, [getattr(args, f) for f in path_flags],
+        (train_corpus, val_corpus, None), "")
     _, record = _run_training(train_corpus, val_corpus, tokenizer, args.arch,
                               labels, config, hyper, args.out, args.run_name)
     _write_record(args.out, record)
@@ -260,8 +274,8 @@ def cmd_eval(args):
     model = taggers_mod.load_checkpoint(args.checkpoint)
     test_corpus = _read_corpus(args.test, "test")
     if args.seg:
-        segmenter = tok_mod.PrecomputedSegmenter(_load_segmentation(args.seg),
-                                                 model.vocab_size)
+        segmenter = tok_mod.PrecomputedSegmenter(
+            _load_segmentation(args.seg, test_corpus), model.vocab_size)
     elif model.vocab is not None:
         segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)
     else:
@@ -312,7 +326,8 @@ def cmd_compare(args):
             taggers_mod.check_label_compat(labels, corpus)
     config, hyper = _configs_from_kv(settings, len(labels))
     tokenizers = {name: _build_segmenters(*_parse_tokenizer_spec(spec),
-                                          train_corpus, base)
+                                          (train_corpus, val_corpus,
+                                           test_corpus), base)
                   for name, spec in specs.items()}
     os.makedirs(args.out, exist_ok=True)
 

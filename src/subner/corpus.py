@@ -300,13 +300,16 @@ def synthetic_vocab_tokens(cfg: SynthConfig, seed: int) -> list[str]:
     stem decomposes; suffixes are single continuation pieces; fillers are whole
     words. Pool construction mirrors generate_synthetic for the same seed.
     """
+    # imported here: tokenizers imports this module
+    from .tokenizers import CONTINUATION_PREFIX, UNK_TOKEN
+
     rng = random.Random(seed)
     _, _, fillers = _build_pools(cfg, rng)
-    tokens = ["[PAD]", "[UNK]"]
+    tokens = ["[PAD]", UNK_TOKEN]
     tokens.extend(sorted(_LETTERS))
-    tokens.extend("##" + c for c in sorted(_LETTERS))
+    tokens.extend(CONTINUATION_PREFIX + c for c in sorted(_LETTERS))
     all_suffixes = sorted(s for cls in cfg.classes for s in cfg.suffixes[cls])
-    tokens.extend("##" + s for s in all_suffixes)
+    tokens.extend(CONTINUATION_PREFIX + s for s in all_suffixes)
     tokens.extend(sorted(fillers))
     return tokens
 

@@ -53,7 +53,6 @@ class EvalReport:
     total_tokens: int
     empty_gold_entities: bool
     strategy: str | None = None
-    averaging_note: str = "headline F1 is macro over non-O classes"
     span: SpanMetrics | None = None
     fertility: object | None = None
     subtoken_accuracy: float | None = None
@@ -235,7 +234,8 @@ def report_to_text(report: EvalReport) -> str:
     lines = []
     header = "evaluation report"
     if report.strategy:
-        header += f" (clubbing: {report.strategy}; {report.averaging_note})"
+        header += (f" (clubbing: {report.strategy}; "
+                   f"headline F1 is macro over non-O classes)")
     lines.append(header)
     lines.append(f"{'class':<12} {'prec':>8} {'recall':>8} {'f1':>8} {'support':>8}")
     for label in sorted(report.per_class):

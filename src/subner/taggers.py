@@ -438,8 +438,6 @@ def save_checkpoint(model: TaggerModel, path):
         "vocab_size": model.vocab_size,
         "vocab_fingerprint": model.vocab_fingerprint(),
         "vocab_tokens": list(model.vocab.token_of) if model.vocab else None,
-        "unk_token": model.vocab.unk_token if model.vocab else None,
-        "continuation_prefix": model.vocab.continuation_prefix if model.vocab else None,
         "tensors": [[name, list(model.params[name].shape)]
                     for name in sorted(model.params)],
     }
@@ -455,9 +453,8 @@ def save_checkpoint(model: TaggerModel, path):
     atomic_write_bytes(path, blob)
 
 
-HEADER_KEYS = ("arch", "continuation_prefix", "hyper", "labels", "tensors",
-               "tokenizer_mode", "unk_token", "vocab_fingerprint",
-               "vocab_size", "vocab_tokens")
+HEADER_KEYS = ("arch", "hyper", "labels", "tensors", "tokenizer_mode",
+               "vocab_fingerprint", "vocab_size", "vocab_tokens")
 
 
 def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
@@ -502,9 +499,7 @@ def _vocab_from_header(header) -> Vocab | None:
     if header["vocab_tokens"] is None:
         return None
     try:
-        return Vocab(tuple(header["vocab_tokens"]),
-                     unk_token=header["unk_token"],
-                     continuation_prefix=header["continuation_prefix"])
+        return Vocab(tuple(header["vocab_tokens"]))
     except (TypeError, DuplicateToken, MissingSpecial) as exc:
         raise CorruptCheckpoint(f"bad header vocab: {exc}") from exc
 

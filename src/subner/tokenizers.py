@@ -1,8 +1,10 @@
 """Word-level and WordPiece segmentation over pretrained vocab files.
 
 Vocab files follow the published BERT format: UTF-8, one token per line,
-token id == zero-based line number. Non-WordPiece tokenizers are supported
-through an import format for externally produced segmentations.
+token id == zero-based line number, an `[UNK]` token, continuation pieces
+prefixed `##`, and any word longer than 100 characters segmented as `[UNK]`.
+Non-WordPiece tokenizers are supported through an import format for
+externally produced segmentations.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ from dataclasses import dataclass, field
 from .corpus import LabeledCorpus
 from .errors import DuplicateToken, InvariantViolation, MissingSpecial
 
-DEFAULT_UNK = "[UNK]"
+# the vocab format, shared by every vocab
+UNK_TOKEN = "[UNK]"
+CONTINUATION_PREFIX = "##"
+MAX_WORD_CHARS = 100
 
 
 @dataclass
 class Vocab:
     token_of: tuple[str, ...]
-    unk_token: str = DEFAULT_UNK
-    continuation_prefix: str = "##"
-    max_word_chars: int = 100
     id_of: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -31,18 +33,15 @@ class Vocab:
             if token in self.id_of:
                 raise DuplicateToken(token, idx)
             self.id_of[token] = idx
-        if self.unk_token not in self.id_of:
-            raise MissingSpecial(self.unk_token)
+        if UNK_TOKEN not in self.id_of:
+            raise MissingSpecial(UNK_TOKEN)
 
     @property
     def unk_id(self) -> int:
-        return self.id_of[self.unk_token]
+        return self.id_of[UNK_TOKEN]
 
     def __len__(self):
         return len(self.token_of)
-
-    def __contains__(self, token):
-        return token in self.id_of
 
 
 @dataclass(frozen=True)
@@ -90,20 +89,17 @@ class FertilityStats:
     unk_word_rate: float
 
 
-def load_vocab(path, unk_token: str = DEFAULT_UNK,
-               continuation_prefix: str = "##") -> Vocab:
+def load_vocab(path) -> Vocab:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
     tokens = tuple(line.rstrip("\r") for line in lines)
-    return Vocab(tokens, unk_token=unk_token,
-                 continuation_prefix=continuation_prefix)
+    return Vocab(tokens)
 
 
-def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1,
-                     unk_token: str = DEFAULT_UNK) -> Vocab:
-    """Word-level baseline vocab: "[PAD]" (id 0), unk (id 1), then corpus
+def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocab:
+    """Word-level baseline vocab: "[PAD]" (id 0), "[UNK]" (id 1), then corpus
     words with frequency >= min_freq in first-occurrence order. No word maps
     to "[PAD]"; its row keeps word ids, and so each word's seeded initial
     embedding, stable across versions."""
@@ -114,15 +110,15 @@ def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1,
             if word not in freq:
                 order.append(word)
             freq[word] += 1
-    tokens = ["[PAD]", unk_token]
+    tokens = ["[PAD]", UNK_TOKEN]
     tokens.extend(w for w in order if freq[w] >= min_freq)
-    return Vocab(tuple(tokens), unk_token=unk_token)
+    return Vocab(tuple(tokens))
 
 
 def wordpiece_word(word: str, vocab: Vocab) -> list[str]:
     """Greedy longest-match-first WordPiece split; [UNK] is the total fallback."""
-    if len(word) > vocab.max_word_chars:
-        return [vocab.unk_token]
+    if len(word) > MAX_WORD_CHARS:
+        return [UNK_TOKEN]
     pieces = []
     start = 0
     n = len(word)
@@ -132,13 +128,13 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[str]:
         while start < end:
             piece = word[start:end]
             if start > 0:
-                piece = vocab.continuation_prefix + piece
+                piece = CONTINUATION_PREFIX + piece
             if piece in vocab.id_of:
                 match = piece
                 break
             end -= 1
         if match is None:
-            return [vocab.unk_token]
+            return [UNK_TOKEN]
         pieces.append(match)
         start = end
     return pieces
@@ -263,14 +259,20 @@ class PrecomputedSegmenter:
             raise InvariantViolation(
                 -1, "precomputed segmentations require a corpus position"
             )
-        if not 0 <= index < len(self.encodings):
-            raise InvariantViolation(
-                index, f"external segmentation has {len(self.encodings)} "
-                       f"records, none for this sentence"
-            )
-        enc = self.encodings[index]
-        if enc.n_words != len(words):
-            raise InvariantViolation(
-                index, f"encoding covers {enc.n_words} words, sentence has {len(words)}"
-            )
-        return enc
+        return sentence_record(self.encodings, index, words)
+
+
+def sentence_record(encodings, index: int, words) -> SubwordEncoding:
+    """The external encoding of sentence `index`; raises InvariantViolation
+    unless there is one and it covers exactly `words`."""
+    if not 0 <= index < len(encodings):
+        raise InvariantViolation(
+            index, f"external segmentation has {len(encodings)} "
+                   f"records, none for this sentence"
+        )
+    enc = encodings[index]
+    if enc.n_words != len(words):
+        raise InvariantViolation(
+            index, f"encoding covers {enc.n_words} words, sentence has {len(words)}"
+        )
+    return enc

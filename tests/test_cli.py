@@ -613,10 +613,10 @@ def write_word_segmentation(synth_dir, tmp_path, drop_last=False):
     from subner.corpus import parse_conll
     from subner.tokenizers import build_word_vocab, segment_sentence
 
-    train_corpus = parse_conll((synth_dir / "train.conll").read_text(), "train")
-    test_corpus = parse_conll((synth_dir / "test.conll").read_text(), "test")
-    vocab = build_word_vocab(train_corpus, 1)
-    for corpus, name in ((train_corpus, "train"), (test_corpus, "test")):
+    corpora = {name: parse_conll((synth_dir / f"{name}.conll").read_text(), name)
+               for name in ("train", "validation", "test")}
+    vocab = build_word_vocab(corpora["train"], 1)
+    for name, corpus in corpora.items():
         sentences = corpus.sentences[:-1] if drop_last else corpus.sentences
         with open(tmp_path / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             for sent in sentences:
@@ -651,7 +651,7 @@ def test_external_segmentation_training(synth_dir, tmp_path, capsys):
         "--test", str(synth_dir / "test.conll"),
         "--seg", str(tmp_path / "test.jsonl"),
     ])
-    assert code == 4
+    assert code == 2
     assert "external segmentation has 29 records" in capsys.readouterr().err
 
 
@@ -672,7 +672,7 @@ def test_train_external_segmentation_path_with_a_comma(synth_dir, tmp_path):
     assert record["tokenizer"] == f"external:{seg},-,-"
 
 
-def with_negative_id(path, ids):
+def with_leading_ids(path, ids):
     """Rewrite the first record of a segmentation file with `ids` in place
     of its leading ids."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -686,8 +686,8 @@ def with_negative_id(path, ids):
 def test_negative_segmentation_id_exit_2(synth_dir, tmp_path, trained, capsys,
                                          ids):
     write_word_segmentation(synth_dir, tmp_path)
-    with_negative_id(tmp_path / "train.jsonl", ids)
-    with_negative_id(tmp_path / "test.jsonl", ids)
+    with_leading_ids(tmp_path / "train.jsonl", ids)
+    with_leading_ids(tmp_path / "test.jsonl", ids)
     error = f"sentence 0: negative id {min(ids)}"
     out = tmp_path / "ext"
     code = main([
@@ -737,7 +737,7 @@ def test_train_external_without_segmentation_exit_2(synth_dir, tmp_path,
     assert not out.exists()
 
 
-def test_external_segmentation_too_short_train_exit_3(synth_dir, tmp_path,
+def test_external_segmentation_too_short_train_exit_2(synth_dir, tmp_path,
                                                       capsys):
     write_word_segmentation(synth_dir, tmp_path, drop_last=True)
     out = tmp_path / "ext"
@@ -747,9 +747,92 @@ def test_external_segmentation_too_short_train_exit_3(synth_dir, tmp_path,
         "--seg-train", str(tmp_path / "train.jsonl"),
         "--seed", "1", "--out", str(out), "--run-name", "ext",
     ])
-    assert code == 3
+    assert code == 2
     assert "sentence 59: external segmentation has 59 records" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_external_segmentation_too_short_val_exit_2(synth_dir, tmp_path,
+                                                    capsys):
+    write_word_segmentation(synth_dir, tmp_path)
+    full_train = (tmp_path / "train.jsonl").rename(tmp_path / "full.jsonl")
+    write_word_segmentation(synth_dir, tmp_path, drop_last=True)
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--val", str(synth_dir / "validation.conll"),
+        "--arch", "CNN", "--tokenizer", "external",
+        "--seg-train", str(full_train),
+        "--seg-val", str(tmp_path / "validation.jsonl"), "--out", str(out),
+    ])
+    assert code == 2
+    assert ("validation.jsonl: sentence 14: external segmentation has 14 "
+            "records") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_seg_val_without_val_exit_2(synth_dir, tmp_path, capsys):
+    # not even its ids are read: one of 1,000,000 used to size the table
+    write_word_segmentation(synth_dir, tmp_path)
+    with_leading_ids(tmp_path / "validation.jsonl", [1_000_000])
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", "external",
+        "--seg-train", str(tmp_path / "train.jsonl"),
+        "--seg-val", str(tmp_path / "validation.jsonl"), "--out", str(out),
+    ])
+    assert code == 2
+    assert ("validation.jsonl: segments the validation split, which has no "
+            "corpus") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def with_first_record_one_word_short(path):
+    """Rewrite the first record of a segmentation file without the
+    subtokens of its last word."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    keep = record["word_ids"].index(record["word_ids"][-1])
+    lines[0] = json.dumps({key: value[:keep] for key, value in record.items()})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_misaligned_segmentation_exit_2(synth_dir, tmp_path, trained, capsys):
+    write_word_segmentation(synth_dir, tmp_path)
+    test_seg = tmp_path / "test.jsonl"
+    with_first_record_one_word_short(test_seg)
+    code = main([
+        "eval", "--checkpoint", str(trained[0] / "cnn.ckpt"),
+        "--test", str(synth_dir / "test.conll"), "--seg", str(test_seg),
+    ])
+    assert code == 2
+    assert "test.jsonl: sentence 0: encoding covers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["misaligned test", "validation without corpus"])
+def test_compare_external_segmentation_checked_before_training(
+        synth_dir, tmp_path, capsys, case):
+    write_word_segmentation(synth_dir, tmp_path)
+    if case == "misaligned test":
+        with_first_record_one_word_short(tmp_path / "test.jsonl")
+        spec, error = ("external:train.jsonl,-,test.jsonl",
+                       "test.jsonl: sentence 0: encoding covers")
+    else:
+        spec, error = ("external:train.jsonl,validation.jsonl,test.jsonl",
+                       "validation.jsonl: segments the validation split")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        f"tokenizer.ext = {spec}\n"
+        "archs = CNN\n"
+        f"train = {synth_dir / 'train.conll'}\n"
+        f"test = {synth_dir / 'test.conll'}\n" + SMALL_GRID_CONFIG,
+        encoding="utf-8")
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_segmentation_exit_2(synth_dir, tmp_path, trained, capsys):

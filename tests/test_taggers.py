@@ -580,7 +580,8 @@ HEADER_EDITS = {
         vocab_size=header["vocab_size"] + 1),
     "label_dropped": lambda header: header["labels"].pop(),
     "hyper_unknown_key": lambda header: header["hyper"].update(depth=2),
-    "unk_token_missing": lambda header: header.update(unk_token="[NONE]"),
+    "unk_token_missing": lambda header: header["vocab_tokens"].__setitem__(
+        header["vocab_tokens"].index("[UNK]"), "[NONE]"),
     "hyper_float": lambda header: header["hyper"].update(
         embed_dim=float(header["hyper"]["embed_dim"])),
     "tokenizer_mode": lambda header: header.update(tokenizer_mode="bpe"),
@@ -603,7 +604,9 @@ def test_checkpoint_header_disagrees_with_arch(tmp_path, toy, edit):
 
 def test_checkpoint_with_pad_header_keys_loads(tmp_path, toy):
     # checkpoints written while the format reserved a pad row also carry
-    # "pad_id" and "pad_token"; the loader ignores both
+    # "pad_id" and "pad_token", and those written while every vocab recorded
+    # its special tokens carry "unk_token" and "continuation_prefix"; the
+    # loader ignores all four
     corpus, labels, vocab, seg = toy
     encodings = [seg.encode(sent.words) for sent in corpus]
     for arch in ARCHS:
@@ -612,7 +615,8 @@ def test_checkpoint_with_pad_header_keys_loads(tmp_path, toy):
         path = tmp_path / f"{arch}.ckpt"
         save_checkpoint(model, path)
         resign_header(path, lambda header: header.update(
-            pad_id=vocab.id_of["[PAD]"], pad_token="[PAD]"))
+            pad_id=vocab.id_of["[PAD]"], pad_token="[PAD]",
+            unk_token="[UNK]", continuation_prefix="##"))
         loaded = load_checkpoint(path)
         assert loaded.params.keys() == model.params.keys()
         for name in model.params:
