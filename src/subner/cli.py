@@ -74,36 +74,31 @@ def _load_segmentation(path, corpus):
     return encodings[:len(corpus)]
 
 
-def _parse_tokenizer_spec(spec):
-    """(kind, paths) of a grid tokenizer spec: `word`, `wordpiece:<vocab>`
-    or `external:<train seg>,<val seg or ->,<test seg or ->`."""
+def _resolve_tokenizer(spec, corpora, base=""):
+    """(train_seg, val_seg, test_seg, spec as recorded) of a tokenizer spec:
+    `word`, `wordpiece:<vocab>` or `external:<train seg>[,<val seg>[,<test
+    seg>]]`, where "-" or nothing stands for a split without a segmentation.
+    Paths are relative to `base` (an absolute one stays as it is), and the
+    recorded spec names them so. `corpora` are the training, validation and
+    test corpora that were given (None for one that was not); a segmentation
+    file is checked against its split's corpus."""
     kind, colon, rest = spec.partition(":")
-    if spec == "word" or kind == "wordpiece":
-        return kind, [rest] if colon else []
-    if kind == "external" and colon:
-        return kind, [p.strip() for p in rest.split(",")]
-    raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
-
-
-def _build_segmenters(kind, paths, corpora, base):
-    """(train_seg, val_seg, test_seg, description) of a tokenizer. `paths`
-    are its files, relative to `base`: none for `word`, the vocab for
-    `wordpiece`, the train, validation and test segmentations for `external`
-    (None, "" or "-" for a split without one). `corpora` are the training,
-    validation and test corpora that were given (None for one that was not);
-    a segmentation file is checked against its split's corpus."""
-    paths = [None if p in (None, "", "-") else os.path.join(base, p)
-             for p in paths]  # an absolute path stays as it is
-    if kind == "word":
+    if spec == "word":
         vocab = tok_mod.build_word_vocab(corpora[0], min_freq=1)
         seg = tok_mod.VocabSegmenter(vocab, "word")
         return seg, seg, seg, "word"
     if kind == "wordpiece":
-        if not any(paths):
-            raise InvalidConfig("wordpiece tokenizer needs --vocab")
-        seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(paths[0]), "subword")
-        return seg, seg, seg, f"wordpiece:{paths[0]}"
-    paths += [None] * (3 - len(paths))
+        if not rest.strip():
+            raise InvalidConfig(f"tokenizer spec {spec!r} names no vocab; "
+                                f"expected wordpiece:<vocab file>")
+        path = os.path.join(base, rest.strip())
+        seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(path), "subword")
+        return seg, seg, seg, f"wordpiece:{path}"
+    paths = [p.strip() for p in rest.split(",")]
+    if kind != "external" or not colon or len(paths) > 3:
+        raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
+    paths = [os.path.join(base, p) if p not in ("", "-") else None
+             for p in paths + [""] * (3 - len(paths))]
     for path, corpus, split in zip(paths, corpora,
                                    ("training", "validation", "test")):
         if path and corpus is None:
@@ -116,8 +111,7 @@ def _build_segmenters(kind, paths, corpora, base):
                       for e in encs if e.ids), default=1)
     segs = [tok_mod.PrecomputedSegmenter(encs, vocab_size)
             if encs is not None else None for encs in splits]
-    return (segs[0], segs[1], segs[2],
-            "external:" + ",".join(p or "-" for p in paths))
+    return (*segs, "external:" + ",".join(p or "-" for p in paths))
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +152,16 @@ def cmd_synth(args):
 
 
 def cmd_tokenize(args):
+    if args.tokenizer.startswith("external:"):
+        raise InvalidConfig("tokenize segments through a vocab: expected "
+                            "word or wordpiece:<vocab file>")
     corpus = _read_corpus(args.input)
-    if args.vocab is not None:
-        vocab = tok_mod.load_vocab(args.vocab)
-    elif args.mode == "word":
-        vocab = tok_mod.build_word_vocab(corpus, min_freq=1)
-    else:
-        raise SubnerError("subword mode needs --vocab")
-    encodings = [tok_mod.segment_sentence(sent.words, vocab, args.mode)
-                 for sent in corpus]
+    segmenter = _resolve_tokenizer(args.tokenizer, (corpus, None, None))[0]
+    encodings = [segmenter.encode(sent.words) for sent in corpus]
     shown = encodings if args.limit is None else encodings[:max(args.limit, 0)]
     for enc in shown:
         print(" ".join(enc.subtokens))
-    stats = tok_mod.encoding_fertility(encodings, vocab.unk_id)
+    stats = tok_mod.encoding_fertility(encodings, segmenter.vocab.unk_id)
     print(f"# words {stats.words_total}  subtokens {stats.subtokens_total}  "
           f"fertility {stats.fertility:.4f}  unk_word_rate {stats.unk_word_rate:.4f}")
     return 0
@@ -179,7 +170,7 @@ def cmd_tokenize(args):
 def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
                   hyper, out_dir, run_name):
     """Shared by cmd_train and cmd_compare: trains on parsed corpora with
-    `_build_segmenters` output; returns (model, run record to write)."""
+    `_resolve_tokenizer` output; returns (model, run record to write)."""
     seg_train, seg_val, _, tok_desc = tokenizer
     if seg_train is None:
         raise InvalidConfig("tokenizer spec provides no training segmentation")
@@ -226,23 +217,13 @@ def _write_record(out_dir, record):
 
 def cmd_train(args):
     kv = parse_kv_file(args.config) if args.config else {}
-    # the flags that give the tokenizer's paths, in path order
-    path_flags = {"word": (), "wordpiece": ("vocab",),
-                  "external": ("seg_train", "seg_val")}.get(args.tokenizer)
-    if path_flags is None:
-        raise InvalidConfig(f"unknown tokenizer spec {args.tokenizer!r}")
-    for flag in ("vocab", "seg_train", "seg_val"):
-        if getattr(args, flag) is not None and flag not in path_flags:
-            raise InvalidConfig(f"--{flag.replace('_', '-')} is not read by "
-                                f"the {args.tokenizer} tokenizer")
     train_corpus = _read_corpus(args.train, "train")
     val_corpus = _read_corpus(args.val, "validation") if args.val else None
     labels = corpus_mod.build_label_set(train_corpus)
     config, hyper = _configs_from_kv(kv, len(labels), args.seed)
     # paths on the command line stay relative to the working directory
-    tokenizer = _build_segmenters(
-        args.tokenizer, [getattr(args, f) for f in path_flags],
-        (train_corpus, val_corpus, None), "")
+    tokenizer = _resolve_tokenizer(args.tokenizer,
+                                   (train_corpus, val_corpus, None))
     _, record = _run_training(train_corpus, val_corpus, tokenizer, args.arch,
                               labels, config, hyper, args.out, args.run_name)
     _write_record(args.out, record)
@@ -274,8 +255,13 @@ def cmd_eval(args):
     model = taggers_mod.load_checkpoint(args.checkpoint)
     test_corpus = _read_corpus(args.test, "test")
     if args.seg:
-        segmenter = tok_mod.PrecomputedSegmenter(
-            _load_segmentation(args.seg, test_corpus), model.vocab_size)
+        encodings = _load_segmentation(args.seg, test_corpus)
+        top = max((max(e.ids) for e in encodings if e.ids), default=-1)
+        if top >= model.vocab_size:
+            raise InvalidConfig(f"{args.seg}: id {top} is outside the "
+                                f"checkpoint's embedding table of "
+                                f"{model.vocab_size} rows")
+        segmenter = tok_mod.PrecomputedSegmenter(encodings, model.vocab_size)
     elif model.vocab is not None:
         segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)
     else:
@@ -325,9 +311,8 @@ def cmd_compare(args):
         if corpus is not None:
             taggers_mod.check_label_compat(labels, corpus)
     config, hyper = _configs_from_kv(settings, len(labels))
-    tokenizers = {name: _build_segmenters(*_parse_tokenizer_spec(spec),
-                                          (train_corpus, val_corpus,
-                                           test_corpus), base)
+    tokenizers = {name: _resolve_tokenizer(spec, (train_corpus, val_corpus,
+                                                  test_corpus), base)
                   for name, spec in specs.items()}
     os.makedirs(args.out, exist_ok=True)
 
@@ -350,7 +335,7 @@ def cmd_compare(args):
                                      ("micro_f1", *REPORT_COLUMNS.values())}
                 record["status"] = "ok"
                 any_ok = True
-            except SubnerError as exc:
+            except (SubnerError, MemoryError) as exc:
                 print(f"run {run_name} failed: {exc}", file=sys.stderr)
                 results[(tok_name, arch)] = None
                 record = {"run": run_name, "status": "failed", "error": str(exc)}
@@ -439,8 +424,8 @@ def build_parser():
 
     p = sub.add_parser("tokenize", help="show segmentations and fertility stats")
     p.add_argument("--input", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--mode", choices=("subword", "word"), default="subword")
+    p.add_argument("--tokenizer", default="word",
+                   help="word | wordpiece:<vocab>")
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=cmd_tokenize, error_code=EXIT_INPUT)
 
@@ -449,10 +434,8 @@ def build_parser():
     p.add_argument("--val")
     p.add_argument("--arch", choices=taggers_mod.ARCHS, required=True)
     p.add_argument("--tokenizer", default="word",
-                   help="word | wordpiece (with --vocab) | external")
-    p.add_argument("--vocab")
-    p.add_argument("--seg-train", dest="seg_train")
-    p.add_argument("--seg-val", dest="seg_val")
+                   help="word | wordpiece:<vocab> | "
+                        "external:<train seg>[,<val seg>]")
     p.add_argument("--config", help="flat key=value training config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -500,6 +483,9 @@ def main(argv=None):
         return EXIT_INPUT
     except SubnerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return args.error_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return args.error_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,9 +100,10 @@ def load_vocab(path) -> Vocab:
 
 def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocab:
     """Word-level baseline vocab: "[PAD]" (id 0), "[UNK]" (id 1), then corpus
-    words with frequency >= min_freq in first-occurrence order. No word maps
-    to "[PAD]"; its row keeps word ids, and so each word's seeded initial
-    embedding, stable across versions."""
+    words with frequency >= min_freq in first-occurrence order. The "[PAD]"
+    row keeps word ids, and so each word's seeded initial embedding, stable
+    across versions. A corpus word spelled "[PAD]" or "[UNK]" is not added
+    again: it takes that special's id."""
     freq = Counter()
     order = []
     for sent in corpus:
@@ -110,9 +111,9 @@ def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocab:
             if word not in freq:
                 order.append(word)
             freq[word] += 1
-    tokens = ["[PAD]", UNK_TOKEN]
-    tokens.extend(w for w in order if freq[w] >= min_freq)
-    return Vocab(tuple(tokens))
+    specials = ("[PAD]", UNK_TOKEN)
+    return Vocab(specials + tuple(w for w in order if freq[w] >= min_freq
+                                  and w not in specials))
 
 
 def wordpiece_word(word: str, vocab: Vocab) -> list[str]:

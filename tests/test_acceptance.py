@@ -270,8 +270,7 @@ def test_acceptance_7_training_determinism(tmp_path):
             code = cli_main([
                 "train", "--train", str(tmp_path / "train.conll"),
                 "--val", str(tmp_path / "validation.conll"),
-                "--arch", "CNN", "--tokenizer", "wordpiece",
-                "--vocab", str(vocab_path),
+                "--arch", "CNN", "--tokenizer", f"wordpiece:{vocab_path}",
                 "--config", str(tmp_path / "train.cfg"),
                 "--out", str(out), "--run-name", "run",
             ])

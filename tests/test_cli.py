@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from subner.alignment import ClubbingStrategy
-from subner.cli import main
+from subner.cli import build_parser, main
 from subner.taggers import Hyperparams, TrainConfig
+from subner.tokenizers import load_vocab
 
 SYNTH_CONFIG = """
 classes = NEL, NEP
@@ -65,7 +67,7 @@ def test_tokenize_subword(synth_dir, capsys):
     def tokenize(*limit):
         assert main([
             "tokenize", "--input", str(synth_dir / "train.conll"),
-            "--vocab", str(synth_dir / "vocab.txt"), *limit,
+            "--tokenizer", f"wordpiece:{synth_dir / 'vocab.txt'}", *limit,
         ]) == 0
         return capsys.readouterr().out.splitlines()
 
@@ -92,9 +94,9 @@ def test_tokenize_segments_each_sentence_once(synth_dir, capsys, monkeypatch,
         return segment_sentence(words, vocab, mode)
 
     monkeypatch.setattr(tokenizers, "segment_sentence", counting)
-    vocab = ["--vocab", str(synth_dir / "vocab.txt")] if mode == "subword" else []
+    spec = f"wordpiece:{synth_dir / 'vocab.txt'}" if mode == "subword" else "word"
     assert main(["tokenize", "--input", str(synth_dir / "train.conll"),
-                 "--mode", mode, *vocab]) == 0
+                 "--tokenizer", spec]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 60 + 1
     assert len(calls) == 60
 
@@ -102,15 +104,24 @@ def test_tokenize_segments_each_sentence_once(synth_dir, capsys, monkeypatch,
 def test_tokenize_word_mode_fertility_one(synth_dir, capsys):
     assert main([
         "tokenize", "--input", str(synth_dir / "train.conll"),
-        "--mode", "word", "--limit", "1",
+        "--tokenizer", "word", "--limit", "1",
     ]) == 0
     assert "fertility 1.0000" in capsys.readouterr().out
+
+
+def test_tokenize_external_spec_exit_2(synth_dir, capsys):
+    code = main([
+        "tokenize", "--input", str(synth_dir / "train.conll"),
+        "--tokenizer", "external:train.jsonl",
+    ])
+    assert code == 2
+    assert "expected word or wordpiece:<vocab file>" in capsys.readouterr().err
 
 
 def test_tokenize_missing_vocab_exit_2(synth_dir, capsys):
     code = main([
         "tokenize", "--input", str(synth_dir / "train.conll"),
-        "--vocab", str(synth_dir / "does-not-exist.txt"),
+        "--tokenizer", f"wordpiece:{synth_dir / 'does-not-exist.txt'}",
     ])
     assert code == 2
     assert "does-not-exist.txt" in capsys.readouterr().err
@@ -124,8 +135,7 @@ def trained(synth_dir, tmp_path_factory):
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
         "--val", str(synth_dir / "validation.conll"),
-        "--arch", "CNN", "--tokenizer", "wordpiece",
-        "--vocab", str(synth_dir / "vocab.txt"),
+        "--arch", "CNN", "--tokenizer", f"wordpiece:{synth_dir / 'vocab.txt'}",
         "--config", str(cfg), "--out", str(out), "--run-name", "cnn",
     ])
     assert code == 0
@@ -150,8 +160,7 @@ def test_train_rerun_byte_identical(trained, synth_dir, tmp_path):
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
         "--val", str(synth_dir / "validation.conll"),
-        "--arch", "CNN", "--tokenizer", "wordpiece",
-        "--vocab", str(synth_dir / "vocab.txt"),
+        "--arch", "CNN", "--tokenizer", f"wordpiece:{synth_dir / 'vocab.txt'}",
         "--config", str(cfg), "--out", str(out2), "--run-name", "cnn",
     ])
     assert code == 0
@@ -256,9 +265,10 @@ def test_predict_matches_per_line_tagging(arch, synth_dir, tmp_path, capsys,
 
 def test_compare_grid(synth_dir, tmp_path, capsys):
     grid = tmp_path / "grid.cfg"
+    vocab = os.path.relpath(synth_dir / "vocab.txt", tmp_path)
     grid.write_text(
         "tokenizer.word-based = word\n"
-        f"tokenizer.synthpiece = wordpiece:{synth_dir / 'vocab.txt'}\n"
+        f"tokenizer.synthpiece = wordpiece:{vocab}\n"
         "archs = CNN\n"
         f"train = {synth_dir / 'train.conll'}\n"
         f"validation = {synth_dir / 'validation.conll'}\n"
@@ -277,19 +287,22 @@ def test_compare_grid(synth_dir, tmp_path, capsys):
     sub_f1 = float(rows["synthpiece"][0])
     assert sub_f1 > word_f1  # OOV-heavy test split favors subwords
 
-    # matrix cell equals the standalone train+eval path for the same seed
+    # matrix cell equals the standalone train+eval path for the same seed;
+    # the tokenizer the cell records, its path resolved, is a train spec
+    spec = json.loads((out / "synthpiece.CNN.run.json").read_text())["tokenizer"]
+    assert spec == f"wordpiece:{os.path.join(tmp_path, vocab)}"
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TRAIN_CONFIG + "strategy = majority\n", encoding="utf-8")
     solo = tmp_path / "solo"
     assert main([
         "train", "--train", str(synth_dir / "train.conll"),
         "--val", str(synth_dir / "validation.conll"),
-        "--arch", "CNN", "--tokenizer", "wordpiece",
-        "--vocab", str(synth_dir / "vocab.txt"),
+        "--arch", "CNN", "--tokenizer", spec,
         "--config", str(cfg), "--out", str(solo), "--run-name", "solo",
     ]) == 0
-    assert (solo / "solo.ckpt").read_bytes() == \
-        (out / "synthpiece.CNN.ckpt").read_bytes()
+    for suffix in (".ckpt", ".history.txt"):
+        assert (solo / f"solo{suffix}").read_bytes() == \
+            (out / f"synthpiece.CNN{suffix}").read_bytes()
     # compare scores the model in memory; eval of its checkpoint agrees exactly
     solo_tsv = tmp_path / "solo.tsv"
     assert main([
@@ -328,6 +341,7 @@ SMALL_GRID_CONFIG = ("epochs = 1\nbatch_size = 8\nmax_len = 16\n"
 @pytest.mark.parametrize("spec, error", [
     ("wordpiece:no-such-vocab.txt", "no-such-vocab.txt"),
     ("bogus", "unknown tokenizer spec 'bogus'"),
+    ("wordpiece", "'wordpiece' names no vocab; expected wordpiece:<vocab file>"),
 ])
 def test_compare_bad_tokenizer_exit_2_before_training(synth_dir, tmp_path,
                                                       capsys, spec, error):
@@ -479,7 +493,7 @@ def test_train_out_of_range_config_exit_2(synth_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("tokenizer, error", [
-    ("wordpiece", "wordpiece tokenizer needs --vocab"),
+    ("wordpiece", "expected wordpiece:<vocab file>"),
     ("bogus", "unknown tokenizer spec 'bogus'"),
 ])
 def test_train_bad_tokenizer_exit_2(synth_dir, tmp_path, capsys, tokenizer,
@@ -491,28 +505,6 @@ def test_train_bad_tokenizer_exit_2(synth_dir, tmp_path, capsys, tokenizer,
     ])
     assert code == 2
     assert error in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("tokenizer, flag", [
-    ("word", "--vocab"),
-    ("word", "--seg-train"),
-    ("wordpiece", "--seg-val"),
-    ("external", "--vocab"),
-])
-def test_train_flag_the_tokenizer_does_not_read_exit_2(synth_dir, tmp_path,
-                                                       capsys, tokenizer, flag):
-    vocab = ["--vocab", str(synth_dir / "vocab.txt")]
-    out = tmp_path / "run"
-    code = main([
-        "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", tokenizer,
-        *(vocab if tokenizer == "wordpiece" else []),
-        flag, "nonexistent.txt", "--out", str(out),
-    ])
-    assert code == 2
-    assert f"{flag} is not read by the {tokenizer} tokenizer" in \
-        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -579,8 +571,8 @@ def test_train_non_finite_loss_exit_3(synth_dir, tmp_path, capsys):
         code = main([
             "train", "--train", str(synth_dir / "train.conll"),
             "--val", str(synth_dir / "validation.conll"),
-            "--arch", "CNN", "--tokenizer", "wordpiece",
-            "--vocab", str(synth_dir / "vocab.txt"),
+            "--arch", "CNN", "--tokenizer",
+            f"wordpiece:{synth_dir / 'vocab.txt'}",
             "--config", str(cfg), "--out", str(out), "--run-name", "nan",
         ])
     assert code == 3
@@ -598,8 +590,7 @@ def test_train_diverging_loss_exit_3(synth_dir, tmp_path, capsys):
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
         "--val", str(synth_dir / "validation.conll"),
-        "--arch", "CNN", "--tokenizer", "wordpiece",
-        "--vocab", str(synth_dir / "vocab.txt"),
+        "--arch", "CNN", "--tokenizer", f"wordpiece:{synth_dir / 'vocab.txt'}",
         "--config", str(cfg), "--out", str(out), "--run-name", "big",
     ])
     assert code == 3
@@ -633,8 +624,7 @@ def test_external_segmentation_training(synth_dir, tmp_path, capsys):
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", "external",
-        "--seg-train", str(tmp_path / "train.jsonl"),
+        "--arch", "CNN", "--tokenizer", f"external:{tmp_path / 'train.jsonl'}",
         "--seed", "1", "--out", str(out), "--run-name", "ext",
     ])
     assert code == 0
@@ -653,23 +643,6 @@ def test_external_segmentation_training(synth_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "external segmentation has 29 records" in capsys.readouterr().err
-
-
-def test_train_external_segmentation_path_with_a_comma(synth_dir, tmp_path):
-    write_word_segmentation(synth_dir, tmp_path)
-    seg = tmp_path / "seg,train.jsonl"
-    (tmp_path / "train.jsonl").rename(seg)
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text(SMALL_GRID_CONFIG, encoding="utf-8")
-    out = tmp_path / "ext"
-    code = main([
-        "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", "external", "--seg-train", str(seg),
-        "--config", str(cfg), "--out", str(out),
-    ])
-    assert code == 0
-    record = json.loads((out / "run.run.json").read_text())
-    assert record["tokenizer"] == f"external:{seg},-,-"
 
 
 def with_leading_ids(path, ids):
@@ -692,8 +665,8 @@ def test_negative_segmentation_id_exit_2(synth_dir, tmp_path, trained, capsys,
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", "external",
-        "--seg-train", str(tmp_path / "train.jsonl"), "--out", str(out),
+        "--arch", "CNN", "--tokenizer", f"external:{tmp_path / 'train.jsonl'}",
+        "--out", str(out),
     ])
     assert code == 2
     assert f"train.jsonl: {error}" in capsys.readouterr().err
@@ -723,13 +696,13 @@ def test_negative_segmentation_id_exit_2(synth_dir, tmp_path, trained, capsys,
 def test_train_external_without_segmentation_exit_2(synth_dir, tmp_path,
                                                     capsys, missing):
     write_word_segmentation(synth_dir, tmp_path)
-    segs = [] if missing == "training" else ["--seg-train",
-                                             str(tmp_path / "train.jsonl")]
+    spec = ("external:" if missing == "training"
+            else f"external:{tmp_path / 'train.jsonl'}")
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
         "--val", str(synth_dir / "validation.conll"),
-        "--arch", "CNN", "--tokenizer", "external", *segs, "--out", str(out),
+        "--arch", "CNN", "--tokenizer", spec, "--out", str(out),
     ])
     assert code == 2
     assert f"tokenizer spec provides no {missing} segmentation" in \
@@ -743,8 +716,7 @@ def test_external_segmentation_too_short_train_exit_2(synth_dir, tmp_path,
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", "external",
-        "--seg-train", str(tmp_path / "train.jsonl"),
+        "--arch", "CNN", "--tokenizer", f"external:{tmp_path / 'train.jsonl'}",
         "--seed", "1", "--out", str(out), "--run-name", "ext",
     ])
     assert code == 2
@@ -762,9 +734,9 @@ def test_external_segmentation_too_short_val_exit_2(synth_dir, tmp_path,
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
         "--val", str(synth_dir / "validation.conll"),
-        "--arch", "CNN", "--tokenizer", "external",
-        "--seg-train", str(full_train),
-        "--seg-val", str(tmp_path / "validation.jsonl"), "--out", str(out),
+        "--arch", "CNN", "--tokenizer",
+        f"external:{full_train},{tmp_path / 'validation.jsonl'}",
+        "--out", str(out),
     ])
     assert code == 2
     assert ("validation.jsonl: sentence 14: external segmentation has 14 "
@@ -779,14 +751,76 @@ def test_train_seg_val_without_val_exit_2(synth_dir, tmp_path, capsys):
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", "external",
-        "--seg-train", str(tmp_path / "train.jsonl"),
-        "--seg-val", str(tmp_path / "validation.jsonl"), "--out", str(out),
+        "--arch", "CNN", "--tokenizer",
+        f"external:{tmp_path / 'train.jsonl'},{tmp_path / 'validation.jsonl'}",
+        "--out", str(out),
     ])
     assert code == 2
     assert ("validation.jsonl: segments the validation split, which has no "
             "corpus") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_segmentation_id_outside_the_checkpoint_exit_2(
+        synth_dir, tmp_path, trained, capsys):
+    write_word_segmentation(synth_dir, tmp_path)
+    with_leading_ids(tmp_path / "test.jsonl", [1_000_000])
+    code = main([
+        "eval", "--checkpoint", str(trained[0] / "cnn.ckpt"),
+        "--test", str(synth_dir / "test.conll"),
+        "--seg", str(tmp_path / "test.jsonl"),
+    ])
+    assert code == 2
+    rows = len(load_vocab(synth_dir / "vocab.txt"))
+    assert (f"test.jsonl: id 1000000 is outside the checkpoint's embedding "
+            f"table of {rows} rows") in capsys.readouterr().err
+
+
+# an id whose embedding table at embed_dim 8 takes 2^60 bytes: more than
+# any host's address space, and below numpy's largest array size
+TABLE_TOO_LARGE_ID = 2 ** 54
+
+
+def test_train_oversized_segmentation_id_exit_3(synth_dir, tmp_path):
+    write_word_segmentation(synth_dir, tmp_path)
+    with_leading_ids(tmp_path / "train.jsonl", [TABLE_TOO_LARGE_ID])
+    (tmp_path / "small.cfg").write_text(SMALL_GRID_CONFIG, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subner", "train",
+         "--train", str(synth_dir / "train.conll"), "--arch", "CNN",
+         "--tokenizer", "external:train.jsonl", "--config", "small.cfg",
+         "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: out of memory: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_oversized_segmentation_id_fails_only_its_cells(
+        synth_dir, tmp_path, capsys):
+    write_word_segmentation(synth_dir, tmp_path)
+    with_leading_ids(tmp_path / "train.jsonl", [TABLE_TOO_LARGE_ID])
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "tokenizer.word-based = word\n"
+        "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
+        "archs = CNN\n"
+        f"train = {synth_dir / 'train.conll'}\n"
+        f"test = {synth_dir / 'test.conll'}\n" + SMALL_GRID_CONFIG,
+        encoding="utf-8")
+    out = tmp_path / "gridout"
+    assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 0
+    assert "run ext.CNN failed: " in capsys.readouterr().err
+    rows = {line.split("\t")[0]: line.split("\t")[1:]
+            for line in (out / "report.tsv").read_text().splitlines()[1:]}
+    assert rows["ext"] == ["failed"] * 4
+    assert rows["word-based"] != ["failed"] * 4
+    assert json.loads((out / "ext.CNN.run.json").read_text())["status"] == \
+        "failed"
 
 
 def with_first_record_one_word_short(path):
@@ -841,7 +875,7 @@ def test_malformed_segmentation_exit_2(synth_dir, tmp_path, trained, capsys):
     out = tmp_path / "ext"
     code = main([
         "train", "--train", str(synth_dir / "train.conll"),
-        "--arch", "CNN", "--tokenizer", "external", "--seg-train", str(bad),
+        "--arch", "CNN", "--tokenizer", f"external:{bad}",
         "--out", str(out),
     ])
     assert code == 2
@@ -926,7 +960,7 @@ MISSING = "no-such-file"
 SWEEP = {
     "stats": ("corpus", lambda f: ["--input", f("corpus")]),
     "synth": ("synth", lambda f: ["--config", f("synth"), "--out", "out"]),
-    "tokenize": ("corpus", lambda f: ["--input", f("corpus"), "--mode", "word"]),
+    "tokenize": ("corpus", lambda f: ["--input", f("corpus")]),
     "train": ("config", lambda f: ["--train", f("train"), "--config",
                                    f("config"), "--arch", "CNN", "--out", "out"]),
     "predict": ("checkpoint", lambda f: ["--checkpoint", f("checkpoint"),
@@ -935,6 +969,19 @@ SWEEP = {
                                   "--test", f("corpus")]),
     "compare": ("grid", lambda f: ["--grid", f("grid"), "--out", "out"]),
 }
+
+
+def test_readme_commands_parse():
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("subner ")]
+    assert len(commands) >= 7
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 @pytest.mark.parametrize("broken", ["missing", "malformed"])

@@ -90,6 +90,14 @@ def test_build_word_vocab_min_freq():
     assert vocab1.token_of == ("[PAD]", "[UNK]", "a", "b")
 
 
+def test_build_word_vocab_corpus_word_spelled_as_a_special():
+    corpus = parse_conll("a\tO\n[UNK]\tO\n[PAD]\tO\nb\tO\n\n")
+    vocab = build_word_vocab(corpus)
+    assert vocab.token_of == ("[PAD]", "[UNK]", "a", "b")
+    assert segment_sentence(["[UNK]", "[PAD]", "b"], vocab, "word").ids == \
+        (1, 0, 3)
+
+
 def test_word_mode_oov_gets_unk_id():
     corpus = parse_conll("a\tO\n\n")
     vocab = build_word_vocab(corpus, min_freq=1)
