@@ -61,57 +61,73 @@ def _configs_from_kv(kv, num_labels, seed_override=None):
         raise InvalidConfig(str(exc)) from exc
 
 
-def _load_segmentation(path, corpus):
-    """The encodings of `corpus` in an external segmentation file, one per
-    sentence (records past its end are not read). A malformed file, or one
-    without a record of each sentence's word count, is an input error."""
+def _load_segmentation(path, corpus, encodings):
+    """Adds the records of `corpus` in an external segmentation file, in
+    line order (later records are not read), to `encodings`, the map of a
+    sentence's words to its encoding, and returns it. A malformed file, a
+    missing or misaligned record, or a sentence the map already segments
+    differently is an input error."""
     try:
-        encodings = tok_mod.load_external_segmentation(path)
-        for index, sent in enumerate(corpus):
-            tok_mod.sentence_record(encodings, index, sent.words)
+        records = tok_mod.load_external_segmentation(path)
+        if len(records) < len(corpus):
+            raise InvariantViolation(
+                len(records), f"external segmentation has {len(records)} "
+                              f"records, none for this sentence")
+        for index, (sent, enc) in enumerate(zip(corpus, records)):
+            if enc.n_words != len(sent.words):
+                raise InvariantViolation(
+                    index, f"encoding covers {enc.n_words} words, sentence "
+                           f"has {len(sent.words)}")
+            if encodings.setdefault(sent.words, enc) != enc:
+                raise InvariantViolation(index, "segmented differently from "
+                                         "an earlier copy of the sentence")
     except InvariantViolation as exc:
         raise InvalidConfig(f"{path}: {exc}") from exc
-    return encodings[:len(corpus)]
+    return encodings
+
+
+def _check_run_name(name, what):
+    """Run artifacts are named after `name` inside --out: no path allowed."""
+    if not name or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise InvalidConfig(f"{what} {name!r} is not a file name")
 
 
 def _resolve_tokenizer(spec, corpora, base=""):
-    """(train_seg, val_seg, test_seg, spec as recorded) of a tokenizer spec:
-    `word`, `wordpiece:<vocab>` or `external:<train seg>[,<val seg>[,<test
-    seg>]]`, where "-" or nothing stands for a split without a segmentation.
-    Paths are relative to `base` (an absolute one stays as it is), and the
-    recorded spec names them so. `corpora` are the training, validation and
-    test corpora that were given (None for one that was not); a segmentation
-    file is checked against its split's corpus."""
+    """(segmenter, spec as recorded) of a tokenizer spec: `word`,
+    `wordpiece:<vocab>` or `external:<train seg>[,<val seg>[,<test seg>]]`,
+    where "-" or nothing stands for a split without a segmentation. Paths
+    are relative to `base` (an absolute one stays as it is), and the
+    recorded spec names them so. An external spec names a file for exactly
+    the splits of `corpora` (training, validation, test; None for one not
+    given) and checks each against its corpus; one segmenter serves all."""
     kind, colon, rest = spec.partition(":")
     if spec == "word":
         vocab = tok_mod.build_word_vocab(corpora[0], min_freq=1)
-        seg = tok_mod.VocabSegmenter(vocab, "word")
-        return seg, seg, seg, "word"
+        return tok_mod.VocabSegmenter(vocab, "word"), "word"
     if kind == "wordpiece":
         if not rest.strip():
             raise InvalidConfig(f"tokenizer spec {spec!r} names no vocab; "
                                 f"expected wordpiece:<vocab file>")
         path = os.path.join(base, rest.strip())
         seg = tok_mod.VocabSegmenter(tok_mod.load_vocab(path), "subword")
-        return seg, seg, seg, f"wordpiece:{path}"
+        return seg, f"wordpiece:{path}"
     paths = [p.strip() for p in rest.split(",")]
     if kind != "external" or not colon or len(paths) > 3:
         raise InvalidConfig(f"unknown tokenizer spec {spec!r}")
     paths = [os.path.join(base, p) if p not in ("", "-") else None
              for p in paths + [""] * (3 - len(paths))]
+    encodings = {}
     for path, corpus, split in zip(paths, corpora,
                                    ("training", "validation", "test")):
         if path and corpus is None:
             raise InvalidConfig(f"{path}: segments the {split} split, "
                                 f"which has no corpus")
-    splits = [_load_segmentation(p, c) if p else None
-              for p, c in zip(paths, corpora)]
-    # a model embeds every id of every split, test ids included
-    vocab_size = max((max(e.ids) + 1 for encs in splits if encs
-                      for e in encs if e.ids), default=1)
-    segs = [tok_mod.PrecomputedSegmenter(encs, vocab_size)
-            if encs is not None else None for encs in splits]
-    return (*segs, "external:" + ",".join(p or "-" for p in paths))
+        if corpus is not None and not path:
+            raise InvalidConfig(f"tokenizer spec provides no {split} segmentation")
+        if path:
+            _load_segmentation(path, corpus, encodings)
+    return (tok_mod.PrecomputedSegmenter(encodings),
+            "external:" + ",".join(p or "-" for p in paths))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +172,7 @@ def cmd_tokenize(args):
         raise InvalidConfig("tokenize segments through a vocab: expected "
                             "word or wordpiece:<vocab file>")
     corpus = _read_corpus(args.input)
-    segmenter = _resolve_tokenizer(args.tokenizer, (corpus, None, None))[0]
+    segmenter, _ = _resolve_tokenizer(args.tokenizer, (corpus, None, None))
     encodings = [segmenter.encode(sent.words) for sent in corpus]
     shown = encodings if args.limit is None else encodings[:max(args.limit, 0)]
     for enc in shown:
@@ -171,21 +187,17 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
                   hyper, out_dir, run_name):
     """Shared by cmd_train and cmd_compare: trains on parsed corpora with
     `_resolve_tokenizer` output; returns (model, run record to write)."""
-    seg_train, seg_val, _, tok_desc = tokenizer
-    if seg_train is None:
-        raise InvalidConfig("tokenizer spec provides no training segmentation")
-    if val_corpus is not None and seg_val is None:
-        raise InvalidConfig("tokenizer spec provides no validation segmentation")
+    segmenter, tok_desc = tokenizer
     if val_corpus is None:
         print("warning: no validation split; early stopping disabled",
               file=sys.stderr)
 
-    model = taggers_mod.build_model(arch, hyper, seg_train.vocab, labels,
-                                    config.seed, tokenizer_mode=seg_train.mode,
-                                    vocab_size=seg_train.vocab_size)
+    model = taggers_mod.build_model(arch, hyper, segmenter.vocab, labels,
+                                    config.seed, tokenizer_mode=segmenter.mode,
+                                    vocab_size=segmenter.vocab_size)
     t0 = time.perf_counter()
     model, history = taggers_mod.train(model, train_corpus, val_corpus,
-                                       seg_train, config, val_segmenter=seg_val)
+                                       segmenter, config)
     wall = time.perf_counter() - t0
 
     os.makedirs(out_dir, exist_ok=True)
@@ -216,6 +228,7 @@ def _write_record(out_dir, record):
 
 
 def cmd_train(args):
+    _check_run_name(args.run_name, "run name")
     kv = parse_kv_file(args.config) if args.config else {}
     train_corpus = _read_corpus(args.train, "train")
     val_corpus = _read_corpus(args.val, "validation") if args.val else None
@@ -255,13 +268,12 @@ def cmd_eval(args):
     model = taggers_mod.load_checkpoint(args.checkpoint)
     test_corpus = _read_corpus(args.test, "test")
     if args.seg:
-        encodings = _load_segmentation(args.seg, test_corpus)
-        top = max((max(e.ids) for e in encodings if e.ids), default=-1)
-        if top >= model.vocab_size:
-            raise InvalidConfig(f"{args.seg}: id {top} is outside the "
-                                f"checkpoint's embedding table of "
-                                f"{model.vocab_size} rows")
-        segmenter = tok_mod.PrecomputedSegmenter(encodings, model.vocab_size)
+        segmenter = tok_mod.PrecomputedSegmenter(
+            _load_segmentation(args.seg, test_corpus, {}))
+        if segmenter.vocab_size > model.vocab_size:
+            raise InvalidConfig(f"{args.seg}: id {segmenter.vocab_size - 1} "
+                                f"is outside the checkpoint's embedding table "
+                                f"of {model.vocab_size} rows")
     elif model.vocab is not None:
         segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)
     else:
@@ -299,6 +311,12 @@ def cmd_compare(args):
     if unknown:
         raise InvalidConfig(f"unknown architecture {', '.join(map(repr, unknown))}; "
                             f"expected one of {', '.join(taggers_mod.ARCHS)}")
+    repeated = sorted({a for a in archs if archs.count(a) > 1})
+    if repeated:
+        raise InvalidConfig(f"architecture {', '.join(map(repr, repeated))} "
+                            f"repeated in archs")
+    for name in specs:
+        _check_run_name(name, "tokenizer name")
     if "train" not in kv or "test" not in kv:
         raise SubnerError("grid needs train= and test= corpus paths")
     # inputs load once, before any cell trains, so a bad one exits 2 early
@@ -319,17 +337,14 @@ def cmd_compare(args):
     results = {}   # (tok_name, arch) -> EvalReport or None
     any_ok = False
     for tok_name, tokenizer in tokenizers.items():
-        seg_test = tokenizer[2]
         for arch in archs:
             run_name = f"{tok_name}.{arch}"
             try:
-                if seg_test is None:
-                    raise SubnerError("tokenizer spec provides no test segmentation")
                 model, record = _run_training(train_corpus, val_corpus,
                                               tokenizer, arch, labels, config,
                                               hyper, args.out, run_name)
-                report = metrics_mod.evaluate(model, test_corpus, seg_test,
-                                              config.strategy)
+                report = metrics_mod.evaluate(model, test_corpus,
+                                              tokenizer[0], config.strategy)
                 results[(tok_name, arch)] = report
                 record["metrics"] = {attr: getattr(report, attr) for attr in
                                      ("micro_f1", *REPORT_COLUMNS.values())}

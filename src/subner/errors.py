@@ -51,7 +51,7 @@ class ShapeMismatch(SubnerError):
     pass
 
 
-class AllMasked(SubnerError):
+class EmptyBatch(SubnerError):
     pass
 
 

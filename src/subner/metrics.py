@@ -190,8 +190,7 @@ def evaluate(model, corpus: LabeledCorpus, segmenter,
     sub_total = sub_correct = 0
     pred_tags, gold_tags = [], []
     span_pred, span_gold = [], []
-    encodings = [segmenter.encode(sent.words, index=idx)
-                 for idx, sent in enumerate(corpus)]
+    encodings = [segmenter.encode(sent.words) for sent in corpus]
     predicted = taggers.predict_encodings(model, encodings, strategy)
     for sent, enc, (word_tags, subtoken_tags) in zip(corpus, encodings,
                                                      predicted):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AllMasked, IdOutOfRange, ShapeMismatch
+from .errors import EmptyBatch, IdOutOfRange, ShapeMismatch
 
 
 def sigmoid(x):
@@ -343,7 +343,7 @@ def masked_softmax_ce(logits, targets):
     """Mean cross-entropy over all positions and its gradient w.r.t. logits:
     loss = sum_t -log softmax(logits_t)[targets_t] / N. (The name is older
     than packing, which left no position to mask; bench/tracer.py wraps the
-    function under it.) Raises AllMasked for an empty batch."""
+    function under it.) Raises EmptyBatch for an empty batch."""
     targets = np.asarray(targets, dtype=np.int64)
     n, m = logits.shape
     if targets.shape != (n,):
@@ -351,7 +351,7 @@ def masked_softmax_ce(logits, targets):
             f"lengths disagree: logits {logits.shape}, targets {targets.shape}"
         )
     if n == 0:
-        raise AllMasked("empty batch: no position to score")
+        raise EmptyBatch("empty batch: no position to score")
     if targets.min() < 0 or targets.max() >= m:
         raise IdOutOfRange(f"targets outside [0, {m})")
     zmax = logits.max(axis=1, keepdims=True)

@@ -325,11 +325,10 @@ DIVERGED_LOSS_FACTOR = 100
 
 def train(model: TaggerModel, train_corpus: LabeledCorpus,
           val_corpus: LabeledCorpus | None, segmenter,
-          config: TrainConfig,
-          val_segmenter=None) -> tuple[TaggerModel, TrainHistory]:
+          config: TrainConfig) -> tuple[TaggerModel, TrainHistory]:
     """Seeded shuffle, propagated labels, softmax CE, RMSProp; keeps the
     best-validation parameters when a validation split is given (early
-    stopping, configurable patience).
+    stopping, configurable patience). `segmenter` encodes both splits.
 
     Rows are truncated at a word boundary to at most `max_len` subtokens and
     each minibatch is one packed batch of its rows' kept subtokens: one
@@ -338,8 +337,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     updates only those rows of the table. Validation forwards the split in
     length-sorted blocks (`predict_encodings`).
 
-    Raises NonFiniteLoss when a batch loss or a gradient norm is not finite,
-    or an epoch's mean loss exceeds DIVERGED_LOSS_FACTOR * ln(num_labels)."""
+    Raises EmptySplit when no training subtoken fits `max_len`, and
+    NonFiniteLoss when a batch loss or a gradient norm is not finite, or an
+    epoch's mean loss exceeds DIVERGED_LOSS_FACTOR * ln(num_labels)."""
     from .alignment import propagate_labels
 
     for corpus, split in ((train_corpus, "training"), (val_corpus, "validation")):
@@ -350,15 +350,13 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         check_label_compat(model.labels, corpus)
 
     train_rows = []
-    for idx, sent in enumerate(train_corpus):
-        enc = segmenter.encode(sent.words, index=idx)
+    for sent in train_corpus:
+        enc = segmenter.encode(sent.words)
         sub_tags = propagate_labels(list(sent.tags), enc)
         train_rows.append((enc, [model.labels.index(t) for t in sub_tags]))
     val_encodings = None
     if val_corpus is not None:
-        val_segmenter = val_segmenter or segmenter
-        val_encodings = [val_segmenter.encode(sent.words, index=idx)
-                         for idx, sent in enumerate(val_corpus)]
+        val_encodings = [segmenter.encode(sent.words) for sent in val_corpus]
         val_tags = [tag for sent in val_corpus for tag in sent.tags]
 
     state = nn.RmspropState(model.params, learning_rate=config.learning_rate,
@@ -395,7 +393,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                 raise NonFiniteLoss(
                     f"epoch {epoch + 1}: gradient norm is {norm}")
             nn.rmsprop_step(model.params, grads, state)
-        mean_loss = nll_total / positions if positions else 0.0
+        if positions == 0:
+            raise EmptySplit(f"no training subtoken fits max_len = {config.max_len}")
+        mean_loss = nll_total / positions
         if mean_loss > max_loss:
             raise NonFiniteLoss(
                 f"epoch {epoch + 1}: mean train loss {mean_loss:.6g} exceeds "

@@ -239,41 +239,27 @@ class VocabSegmenter:
         self.mode = mode
         self.vocab_size = len(vocab)
 
-    def encode(self, words, index: int | None = None) -> SubwordEncoding:
+    def encode(self, words) -> SubwordEncoding:
         return segment_sentence(words, self.vocab, self.mode)
 
 
 class PrecomputedSegmenter:
-    """Serves externally produced encodings by corpus position. `vocab_size`
-    is the embedding table size of a model over them: one past the largest
-    id of every split the same tokenizer segmented."""
+    """Serves externally produced encodings by sentence, from one map of a
+    sentence's words (a tuple) to its encoding over every split the same
+    tokenizer segmented. `vocab_size` is the embedding table size of a
+    model over them: one past their largest id, test ids included."""
 
     mode = "external"
     vocab = None
 
-    def __init__(self, encodings: list[SubwordEncoding], vocab_size: int):
-        self.encodings = list(encodings)
-        self.vocab_size = vocab_size
+    def __init__(self, encodings: dict[tuple[str, ...], SubwordEncoding]):
+        self.encodings = encodings
+        self.vocab_size = max((max(e.ids) + 1 for e in encodings.values()
+                               if e.ids), default=1)
 
-    def encode(self, words, index: int | None = None) -> SubwordEncoding:
-        if index is None:
-            raise InvariantViolation(
-                -1, "precomputed segmentations require a corpus position"
-            )
-        return sentence_record(self.encodings, index, words)
-
-
-def sentence_record(encodings, index: int, words) -> SubwordEncoding:
-    """The external encoding of sentence `index`; raises InvariantViolation
-    unless there is one and it covers exactly `words`."""
-    if not 0 <= index < len(encodings):
-        raise InvariantViolation(
-            index, f"external segmentation has {len(encodings)} "
-                   f"records, none for this sentence"
-        )
-    enc = encodings[index]
-    if enc.n_words != len(words):
-        raise InvariantViolation(
-            index, f"encoding covers {enc.n_words} words, sentence has {len(words)}"
-        )
-    return enc
+    def encode(self, words) -> SubwordEncoding:
+        try:
+            return self.encodings[tuple(words)]
+        except KeyError:
+            raise InvariantViolation(-1, "external segmentation has no "
+                                         "record of this sentence") from None

@@ -520,6 +520,10 @@ def with_new_tag(src, dst):
     ("validation", "corpus tag 'B-NEW' not in model label set"),
     ("epoch", "unknown config key 'epoch'"),
     ("arch", "unknown architecture 'GRU'"),
+    ("repeated arch", "architecture 'CNN' repeated in archs"),
+    ("tokenizer a/b", "tokenizer name 'a/b' is not a file name"),
+    ("tokenizer ../escaped", "tokenizer name '../escaped' is not a file name"),
+    ("tokenizer ", "tokenizer name '' is not a file name"),
 ])
 def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
                                                  bad, error):
@@ -527,15 +531,20 @@ def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
               for name in ("train", "validation", "test")}
     settings = SMALL_GRID_CONFIG
     archs = "CNN,LSTM"
+    tokenizer = "word-based"
     if bad == "epoch":
         settings += "epoch = 2\n"
     elif bad == "arch":
         archs = "CNN,GRU"
+    elif bad == "repeated arch":
+        archs = "CNN,LSTM,CNN"
+    elif bad.startswith("tokenizer "):
+        tokenizer = bad.split(" ", 1)[1]
     else:
         splits[bad] = with_new_tag(splits[bad], tmp_path / f"{bad}.conll")
     grid = tmp_path / "grid.cfg"
     grid.write_text(
-        "tokenizer.word-based = word\n"
+        f"tokenizer.{tokenizer} = word\n"
         f"tokenizer.synthpiece = wordpiece:{synth_dir / 'vocab.txt'}\n"
         f"archs = {archs}\n"
         + "".join(f"{name} = {path}\n" for name, path in splits.items())
@@ -546,6 +555,42 @@ def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
     assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
+    assert not list(tmp_path.glob("**/*.ckpt"))
+
+
+@pytest.mark.parametrize("run_name", ["a/b", "../escaped", ""])
+def test_train_run_name_not_a_file_name_exit_2(synth_dir, tmp_path, capsys,
+                                               run_name):
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--out", str(out), "--run-name", run_name,
+    ])
+    assert code == 2
+    assert f"run name {run_name!r} is not a file name" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("**/*.ckpt"))
+
+
+def test_train_nothing_fits_max_len_exit_3(tmp_path, capsys):
+    # every row's first word takes 2 subtokens, so max_len = 1 keeps none
+    (tmp_path / "vocab.txt").write_text("[UNK]\npu\n##ne\nmadhye\n",
+                                        encoding="utf-8")
+    (tmp_path / "train.conll").write_text(
+        "pune\tB-NEL\nmadhye\tO\n\npune\tB-NEL\n\n", encoding="utf-8")
+    (tmp_path / "train.cfg").write_text(
+        "epochs = 2\nmax_len = 1\nembed_dim = 8\nconv_filters = 8\n",
+        encoding="utf-8")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(tmp_path / "train.conll"), "--arch", "CNN",
+        "--tokenizer", f"wordpiece:{tmp_path / 'vocab.txt'}",
+        "--config", str(tmp_path / "train.cfg"), "--out", str(out),
+    ])
+    assert code == 3
+    assert "no training subtoken fits max_len = 1" in capsys.readouterr().err
+    assert not (out / "run.ckpt").exists()
 
 
 def test_train_validation_tag_outside_label_set_exit_2(synth_dir, tmp_path,
@@ -845,23 +890,36 @@ def test_misaligned_segmentation_exit_2(synth_dir, tmp_path, trained, capsys):
     assert "test.jsonl: sentence 0: encoding covers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["misaligned test", "validation without corpus"])
+@pytest.mark.parametrize("case", ["misaligned test", "validation without corpus",
+                                  "no training file", "no validation file",
+                                  "no test file"])
 def test_compare_external_segmentation_checked_before_training(
         synth_dir, tmp_path, capsys, case):
     write_word_segmentation(synth_dir, tmp_path)
+    # (spec, error, whether the grid has a validation corpus)
+    spec, error, with_val = {
+        "misaligned test": ("train.jsonl,-,test.jsonl",
+                            "test.jsonl: sentence 0: encoding covers", False),
+        "validation without corpus": (
+            "train.jsonl,validation.jsonl,test.jsonl",
+            "validation.jsonl: segments the validation split", False),
+        "no training file": ("-,validation.jsonl,test.jsonl",
+                             "provides no training segmentation", True),
+        "no validation file": ("train.jsonl,-,test.jsonl",
+                               "provides no validation segmentation", True),
+        "no test file": ("train.jsonl,validation.jsonl,-",
+                         "provides no test segmentation", True),
+    }[case]
     if case == "misaligned test":
         with_first_record_one_word_short(tmp_path / "test.jsonl")
-        spec, error = ("external:train.jsonl,-,test.jsonl",
-                       "test.jsonl: sentence 0: encoding covers")
-    else:
-        spec, error = ("external:train.jsonl,validation.jsonl,test.jsonl",
-                       "validation.jsonl: segments the validation split")
+    splits = ("train", "validation", "test") if with_val else ("train", "test")
     grid = tmp_path / "grid.cfg"
     grid.write_text(
-        f"tokenizer.ext = {spec}\n"
+        "tokenizer.word-based = word\n"
+        f"tokenizer.ext = external:{spec}\n"
         "archs = CNN\n"
-        f"train = {synth_dir / 'train.conll'}\n"
-        f"test = {synth_dir / 'test.conll'}\n" + SMALL_GRID_CONFIG,
+        + "".join(f"{name} = {synth_dir / name}.conll\n" for name in splits)
+        + SMALL_GRID_CONFIG,
         encoding="utf-8")
     out = tmp_path / "gridout"
     assert main(["compare", "--grid", str(grid), "--out", str(out)]) == 2
@@ -899,12 +957,10 @@ def test_compare_external_tokenizers(synth_dir, tmp_path):
     write_word_segmentation(synth_dir, tmp_path)
     grid = tmp_path / "grid.cfg"
     grid.write_text(
-        "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
-        "tokenizer.no-test = external:train.jsonl,-,-\n"
-        "tokenizer.no-train = external:-,-,test.jsonl\n"
+        "tokenizer.ext = external:train.jsonl,validation.jsonl,test.jsonl\n"
         "archs = CNN\n"
-        f"train = {synth_dir / 'train.conll'}\n"
-        f"test = {synth_dir / 'test.conll'}\n"
+        + "".join(f"{name} = {synth_dir / name}.conll\n"
+                  for name in ("train", "validation", "test"))
         + SMALL_GRID_CONFIG,
         encoding="utf-8",
     )
@@ -914,13 +970,47 @@ def test_compare_external_tokenizers(synth_dir, tmp_path):
     rows = {line.split("\t")[0]: line.split("\t")[1:] for line in tsv[1:]}
     assert all(0.0 <= float(v) <= 1.0 for v in rows["ext"])
     assert (out / "ext.CNN.ckpt").exists()
-    assert rows["no-test"] == ["failed"] * 4
-    assert not (out / "no-test.CNN.ckpt").exists()
-    record = json.loads((out / "no-test.CNN.run.json").read_text())
-    assert record["error"] == "tokenizer spec provides no test segmentation"
-    assert rows["no-train"] == ["failed"] * 4
-    record = json.loads((out / "no-train.CNN.run.json").read_text())
-    assert record["error"] == "tokenizer spec provides no training segmentation"
+
+
+@pytest.mark.parametrize("repeat", ["same", "different"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_external_segmentation_of_a_repeated_sentence(
+        synth_dir, tmp_path, capsys, command, repeat):
+    # the training corpus and its segmentation end with a copy of their
+    # first sentence, segmented the same way or not
+    write_word_segmentation(synth_dir, tmp_path)
+    corpus = (synth_dir / "train.conll").read_text(encoding="utf-8")
+    (tmp_path / "train.conll").write_text(
+        corpus + corpus.split("\n\n", 1)[0] + "\n\n", encoding="utf-8")
+    seg = tmp_path / "train.jsonl"
+    record = json.loads(seg.read_text(encoding="utf-8").splitlines()[0])
+    if repeat == "different":
+        record["ids"][0] += 1
+    with open(seg, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    settings = tmp_path / "settings.cfg"
+    if command == "train":
+        settings.write_text(SMALL_GRID_CONFIG, encoding="utf-8")
+        argv = ["train", "--train", str(tmp_path / "train.conll"),
+                "--arch", "CNN", "--tokenizer", f"external:{seg}",
+                "--config", str(settings)]
+    else:
+        settings.write_text(
+            "tokenizer.ext = external:train.jsonl,-,test.jsonl\n"
+            "archs = CNN\n"
+            f"train = {tmp_path / 'train.conll'}\n"
+            f"test = {synth_dir / 'test.conll'}\n" + SMALL_GRID_CONFIG,
+            encoding="utf-8")
+        argv = ["compare", "--grid", str(settings)]
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    if repeat == "same":
+        assert code == 0
+        return
+    assert code == 2
+    assert ("train.jsonl: sentence 60: segmented differently from an earlier "
+            "copy of the sentence") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_external_embedding_covers_every_split(synth_dir, tmp_path):

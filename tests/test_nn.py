@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subner import nn
-from subner.errors import AllMasked, IdOutOfRange, ShapeMismatch
+from subner.errors import EmptyBatch, IdOutOfRange, ShapeMismatch
 
 
 def test_embedding_lookup():
@@ -274,7 +274,7 @@ def test_ce_confident_correct():
 
 def test_ce_all_masked():
     # an empty batch has no position to average over
-    with pytest.raises(AllMasked):
+    with pytest.raises(EmptyBatch):
         nn.masked_softmax_ce(np.zeros((0, 3)), [])
 
 

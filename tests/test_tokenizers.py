@@ -263,13 +263,11 @@ def test_load_external_segmentation_rejects_negative_ids(tmp_path):
         load_external_segmentation(path)
 
 
-def test_precomputed_segmenter_requires_index():
+def test_precomputed_segmenter_looks_up_by_sentence():
     enc = SubwordEncoding(("a",), (3,), (0,))
-    seg = PrecomputedSegmenter([enc], 4)
-    assert seg.encode(["word"], index=0) is enc
-    with pytest.raises(InvariantViolation):
-        seg.encode(["word"])
-    with pytest.raises(InvariantViolation):
-        seg.encode(["two", "words"], index=0)
-    with pytest.raises(InvariantViolation, match="sentence 1: .* 1 records"):
-        seg.encode(["word"], index=1)
+    seg = PrecomputedSegmenter({("word",): enc})
+    assert seg.vocab_size == 4
+    assert seg.encode(["word"]) is enc
+    assert seg.encode(("word",)) is enc
+    with pytest.raises(InvariantViolation, match="no record of this sentence"):
+        seg.encode(["two", "words"])
