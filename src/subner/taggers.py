@@ -337,6 +337,14 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     updates only those rows of the table. Validation forwards the split in
     length-sorted blocks (`predict_encodings`).
 
+    No step does work in proportion to the embedding table: RMSProp decays
+    only the rows some step has touched (`nn.RmspropState.live`). The best
+    epoch's snapshot copies every other parameter; of the table it keeps
+    each row as it was at that epoch, saved before a later step first
+    changes it. At the end only the other parameters and the touched rows
+    are rounded to the float32 grid: the rest are still on the grid, as
+    `build_model` and `load_checkpoint` leave a model.
+
     Raises EmptySplit when no training subtoken fits `max_len`, and
     NonFiniteLoss when a batch loss or a gradient norm is not finite, or an
     epoch's mean loss exceeds DIVERGED_LOSS_FACTOR * ln(num_labels)."""
@@ -364,7 +372,10 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     best_f1 = -1.0
-    best_params = None
+    best_params = None   # every parameter but the embedding, at the best epoch
+    embed = model.params["embed"]
+    undo = []            # (rows, values): embedding rows at the best epoch
+    saved = None         # the sorted rows `undo` holds
     stale = 0
     n = len(train_rows)
     max_loss = DIVERGED_LOSS_FACTOR * math.log(len(model.labels))
@@ -392,6 +403,11 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             if not np.isfinite(norm):
                 raise NonFiniteLoss(
                     f"epoch {epoch + 1}: gradient norm is {norm}")
+            if best_params is not None:
+                rows = np.setdiff1d(grads["embed"].rows, saved,
+                                    assume_unique=True)
+                saved = np.union1d(saved, rows)
+                undo.append((rows, embed[rows]))
             nn.rmsprop_step(model.params, grads, state)
         if positions == 0:
             raise EmptySplit(f"no training subtoken fits max_len = {config.max_len}")
@@ -407,7 +423,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             f1 = _val_macro_f1(model, val_encodings, val_tags, config.strategy)
             if f1 > best_f1:
                 best_f1 = f1
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_params = {k: v.copy() for k, v in model.params.items()
+                               if k != "embed"}
+                undo, saved = [], np.empty(0, dtype=np.int64)
                 history.best_epoch = epoch + 1
                 stale = 0
             else:
@@ -417,8 +435,12 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         if stale >= config.patience:  # only a validation split goes stale
             break
     if best_params is not None:
-        model.params = best_params
-    _round_to_f32_grid(model.params)
+        for rows, values in undo:
+            embed[rows] = values
+        model.params.update(best_params)
+    _round_to_f32_grid({k: v for k, v in model.params.items() if k != "embed"})
+    rows = state.live["embed"]
+    embed[rows] = embed[rows].astype(np.float32)
     return model, history
 
 

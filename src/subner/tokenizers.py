@@ -198,7 +198,9 @@ def encoding_fertility(encodings, unk_id: int) -> FertilityStats:
 
 def load_external_segmentation(path) -> list[SubwordEncoding]:
     """Load line-delimited JSON records {subtokens, ids, word_ids}, one
-    sentence per line, validating the encoding invariants per sentence."""
+    sentence per line, validating the encoding invariants per sentence.
+    Ids and word ids must be JSON integers: not floats (`14.9`, or `1e309`,
+    which reads as infinity), strings or booleans."""
     encodings = []
     with open(path, "r", encoding="utf-8") as fh:
         for sentence_no, raw in enumerate(fh):
@@ -211,11 +213,16 @@ def load_external_segmentation(path) -> list[SubwordEncoding]:
             try:
                 enc = SubwordEncoding(
                     tuple(str(t) for t in record["subtokens"]),
-                    tuple(int(i) for i in record["ids"]),
-                    tuple(int(w) for w in record["word_ids"]),
+                    tuple(record["ids"]),
+                    tuple(record["word_ids"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise InvariantViolation(sentence_no, f"bad record: {exc}") from exc
+            for name, values in (("ids", enc.ids), ("word_ids", enc.word_ids)):
+                for v in values:
+                    if type(v) is not int:  # bool is a subclass of int
+                        raise InvariantViolation(
+                            sentence_no, f"{name} must be integers, got {v!r}")
             if enc.word_ids and enc.word_ids[0] != 0:
                 raise InvariantViolation(sentence_no, "word_ids must start at 0")
             if enc.ids and min(enc.ids) < 0:

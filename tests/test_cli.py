@@ -737,6 +737,36 @@ def test_negative_segmentation_id_exit_2(synth_dir, tmp_path, trained, capsys,
     assert f"test.jsonl: {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["1e309", "14.9", '"7"', "true"])
+def test_non_integer_segmentation_id_exit_2(synth_dir, tmp_path, trained,
+                                            capsys, literal):
+    write_word_segmentation(synth_dir, tmp_path)
+    for name in ("train", "test"):
+        path = tmp_path / f"{name}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["ids"][0] = "@"
+        lines[0] = json.dumps(record).replace('"@"', literal)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    error = f"sentence 0: ids must be integers, got {json.loads(literal)!r}"
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", f"external:{tmp_path / 'train.jsonl'}",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"train.jsonl: {error}" in capsys.readouterr().err
+    assert not out.exists()
+    code = main([
+        "eval", "--checkpoint", str(trained[0] / "cnn.ckpt"),
+        "--test", str(synth_dir / "test.conll"),
+        "--seg", str(tmp_path / "test.jsonl"),
+    ])
+    assert code == 2
+    assert f"test.jsonl: {error}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("missing", ["training", "validation"])
 def test_train_external_without_segmentation_exit_2(synth_dir, tmp_path,
                                                     capsys, missing):

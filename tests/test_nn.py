@@ -327,6 +327,36 @@ def test_rmsprop_row_grad_matches_dense_step():
         assert np.array_equal(params["row"][untouched], before)
 
 
+def test_rmsprop_live_row_decay_matches_eager_dense_step():
+    # row 9 is touched once, at step 2, then idles; row 39 is never touched;
+    # from step 25 on, rows 7 to 29 join the rows that decay
+    rng = np.random.default_rng(21)
+    table = rng.normal(size=(40, 3))
+    params = {"t": table.copy()}
+    state = nn.RmspropState(params, learning_rate=0.01)
+    p_ref, s_ref = table.copy(), np.zeros_like(table)
+    reached = set()
+    for step in range(32):
+        pool = 7 if step < 25 else 30
+        rows = rng.choice(pool, size=rng.integers(1, 4), replace=False)
+        if step == 2:
+            rows = np.append(rows, 9)
+        rows = np.sort(rows)
+        reached.update(rows.tolist())
+        values = rng.normal(size=(rows.size, 3))
+        g = np.zeros_like(table)
+        g[rows] = values
+        s_ref *= 0.9
+        s_ref += (1.0 - 0.9) * g * g
+        p_ref -= 0.01 * g / (np.sqrt(s_ref) + 1e-8)
+        nn.rmsprop_step(params, {"t": nn.RowGrad(rows, values)}, state)
+        assert np.array_equal(params["t"], p_ref), step
+        assert np.array_equal(state.s["t"], s_ref), step
+        assert state.live["t"].tolist() == sorted(reached), step
+    assert 39 not in reached and state.s["t"][39].tolist() == [0.0] * 3
+    assert np.array_equal(params["t"][39], table[39])
+
+
 def test_rmsprop_row_grad_shape_mismatch():
     params = {"t": np.zeros((4, 3))}
     state = nn.RmspropState(params)

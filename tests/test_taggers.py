@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -305,6 +306,38 @@ def test_train_ignores_padding(toy, arch):
     assert short_history.train_loss == long_history.train_loss
     for name in short.params:
         assert np.array_equal(short.params[name], long.params[name]), name
+
+
+@pytest.mark.parametrize("arch", ["CNN", "BiLSTM"])
+def test_best_epoch_restore_equals_training_to_the_best_epoch(toy, arch):
+    # validation draws no random numbers, so the best epoch's parameters are
+    # those of a run that stops there; 200 rows no sentence uses must keep
+    # the bytes build_model gave them
+    corpus, labels, vocab, _ = toy
+    vocab = Vocab(vocab.token_of + tuple(f"unused{i}" for i in range(200)))
+    seg = VocabSegmenter(vocab, "word")
+    train_split = LabeledCorpus(corpus.sentences[:8], "train")
+    val_split = LabeledCorpus(corpus.sentences[5:], "validation")
+    config = TrainConfig(epochs=8, batch_size=3, max_len=16, seed=2,
+                         patience=8, learning_rate=0.03)
+
+    def fresh():
+        return build_model(arch, small_hyper(len(labels)), vocab, labels, 2,
+                           tokenizer_mode="word")
+
+    best, history = train(fresh(), train_split, val_split, seg, config)
+    assert 1 < history.best_epoch < config.epochs
+    short, short_history = train(
+        fresh(), train_split, None, seg,
+        dataclasses.replace(config, epochs=history.best_epoch))
+    assert short_history.train_loss == history.train_loss[:history.best_epoch]
+    for name in best.params:
+        assert best.params[name].tobytes() == short.params[name].tobytes(), name
+    used = {i for sent in train_split for i in seg.encode(sent.words).ids}
+    untouched = sorted(set(range(len(vocab))) - used)
+    assert len(untouched) >= 200
+    assert (best.params["embed"][untouched].tobytes()
+            == fresh().params["embed"][untouched].tobytes())
 
 
 # words outside the TOY vocab all map to [UNK], so ids repeat within rows

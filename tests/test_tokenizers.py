@@ -263,6 +263,21 @@ def test_load_external_segmentation_rejects_negative_ids(tmp_path):
         load_external_segmentation(path)
 
 
+@pytest.mark.parametrize("field", ["ids", "word_ids"])
+@pytest.mark.parametrize("literal", ["1e309", "14.9", "0.0", '"7"', "true",
+                                     "false"])
+def test_load_external_segmentation_rejects_non_integers(tmp_path, field,
+                                                         literal):
+    record = {"subtokens": ["a", "b"], "ids": [3, 4], "word_ids": [0, 1]}
+    record[field][0] = "@"
+    path = tmp_path / "seg.jsonl"
+    path.write_text(json.dumps(record).replace('"@"', literal) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(InvariantViolation,
+                       match=f"sentence 0: {field} must be integers"):
+        load_external_segmentation(path)
+
+
 def test_precomputed_segmenter_looks_up_by_sentence():
     enc = SubwordEncoding(("a",), (3,), (0,))
     seg = PrecomputedSegmenter({("word",): enc})
