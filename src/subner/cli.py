@@ -102,7 +102,7 @@ def _resolve_tokenizer(spec, corpora, base=""):
     given) and checks each against its corpus; one segmenter serves all."""
     kind, colon, rest = spec.partition(":")
     if spec == "word":
-        vocab = tok_mod.build_word_vocab(corpora[0], min_freq=1)
+        vocab = tok_mod.build_word_vocab(corpora[0])
         return tok_mod.VocabSegmenter(vocab, "word"), "word"
     if kind == "wordpiece":
         if not rest.strip():

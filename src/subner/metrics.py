@@ -154,16 +154,6 @@ def decode_spans(labels, scheme: str = "bio"):
     return spans
 
 
-def encode_bio(spans, length):
-    """Re-encode spans as a BIO label sequence (used to check decode)."""
-    labels = [OUTSIDE] * length
-    for cls, start, end in spans:
-        labels[start] = f"B-{cls}"
-        for pos in range(start + 1, end):
-            labels[pos] = f"I-{cls}"
-    return labels
-
-
 def span_metrics(pred_labels, gold_labels, scheme: str = "bio") -> SpanMetrics:
     pred = set(decode_spans(pred_labels, scheme))
     gold = set(decode_spans(gold_labels, scheme))

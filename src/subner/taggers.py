@@ -81,6 +81,8 @@ class TrainConfig:
             raise InvalidHyper("bad optimizer settings")
         if self.patience < 1:
             raise InvalidHyper("patience must be >= 1")
+        if self.seed < 0:
+            raise InvalidHyper(f"seed must be non-negative, got {self.seed}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise InvalidHyper("grad_clip must be positive")
 
@@ -110,12 +112,11 @@ class TaggerModel:
     labels: LabelSet
     vocab: Vocab | None           # None for externally segmented input
     tokenizer_mode: str           # word | subword | external
-    vocab_size: int
     params: dict[str, np.ndarray]
 
     @property
-    def feature_width(self) -> int:
-        return param_shapes(self.arch, self.hyper, self.vocab_size)["dense_W"][0]
+    def vocab_size(self) -> int:
+        return self.params["embed"].shape[0]
 
     def vocab_fingerprint(self) -> str:
         if self.vocab is None:
@@ -136,8 +137,12 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
                 vocab_size: int | None = None) -> TaggerModel:
     """Initialize a tagger deterministically from a seed.
 
-    Embedding/conv/dense weights ~ U(-0.05, 0.05); LSTM weights
-    U(-1/sqrt(h), 1/sqrt(h)) with forget-gate bias 1; other biases 0.
+    One generator draws the tensors in `param_shapes` order: the embedding,
+    then the layer (an LSTM's forward direction before its backward one),
+    then the dense weight. Embedding/conv/dense weights ~ U(-0.05, 0.05);
+    each LSTM direction is `nn.init_lstm_params` (W, then U, each
+    U(-1/sqrt(h), 1/sqrt(h)); forget-gate bias 1); other biases 0. Every
+    tensor is then rounded to the float32 grid.
     """
     if arch not in ARCHS:
         raise InvalidHyper(f"unknown architecture {arch!r}")
@@ -153,28 +158,28 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
     if vocab_size < 1:
         raise InvalidHyper(f"bad vocab_size {vocab_size}")
 
+    shapes = param_shapes(arch, hyper, vocab_size)
+    for name, shape in shapes.items():
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:
+            raise InvalidHyper(f"{name} of shape {shape} is too large to "
+                               f"allocate")
     rng = np.random.default_rng(seed)
-    d = hyper.embed_dim
-    params = {"embed": rng.uniform(-0.05, 0.05, size=(vocab_size, d))}
-    if arch == "CNN":
-        k, f = hyper.conv_kernel, hyper.conv_filters
-        params["conv_w"] = rng.uniform(-0.05, 0.05, size=(k, d, f))
-        params["conv_b"] = np.zeros(f)
-    elif arch == "LSTM":
-        W, U, b = nn.init_lstm_params(rng, d, hyper.lstm_hidden)
-        params.update(lstm_W=W, lstm_U=U, lstm_b=b)
-    else:
-        W, U, b = nn.init_lstm_params(rng, d, hyper.bilstm_hidden)
-        params.update(lstm_fw_W=W, lstm_fw_U=U, lstm_fw_b=b)
-        W, U, b = nn.init_lstm_params(rng, d, hyper.bilstm_hidden)
-        params.update(lstm_bw_W=W, lstm_bw_U=U, lstm_bw_b=b)
-    model = TaggerModel(arch, hyper, labels, vocab, tokenizer_mode,
-                        vocab_size, params)
-    params["dense_W"] = rng.uniform(-0.05, 0.05,
-                                    size=(model.feature_width, len(labels)))
-    params["dense_b"] = np.zeros(len(labels))
+    params = {}
+    for name, shape in shapes.items():
+        if name in params:  # drawn with its LSTM direction
+            continue
+        if name.startswith("lstm"):
+            direction = name.removesuffix("_W")
+            d, four_h = shape
+            W, U, b = nn.init_lstm_params(rng, d, four_h // 4)
+            params.update({f"{direction}_W": W, f"{direction}_U": U,
+                           f"{direction}_b": b})
+        elif name.endswith("_b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.uniform(-0.05, 0.05, size=shape)
     _round_to_f32_grid(params)
-    return model
+    return TaggerModel(arch, hyper, labels, vocab, tokenizer_mode, params)
 
 
 def count_params(model: TaggerModel) -> int:
@@ -183,23 +188,22 @@ def count_params(model: TaggerModel) -> int:
 
 def param_shapes(arch: str, hyper: Hyperparams,
                  vocab_size: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor of a model with this architecture."""
+    """Name -> shape of every tensor of a model with this architecture, in
+    the order `build_model` draws them: embedding, layer, dense."""
     d, n = hyper.embed_dim, hyper.num_labels
+    shapes = {"embed": (vocab_size, d)}
     if arch == "CNN":
-        k, width = hyper.conv_kernel, hyper.conv_filters
-        shapes = {"conv_w": (k, d, width), "conv_b": (width,)}
-    elif arch == "LSTM":
-        h = width = hyper.lstm_hidden
-        shapes = {"lstm_W": (d, 4 * h), "lstm_U": (h, 4 * h), "lstm_b": (4 * h,)}
+        width = hyper.conv_filters
+        shapes.update(conv_w=(hyper.conv_kernel, d, width), conv_b=(width,))
     else:
-        h = hyper.bilstm_hidden
-        width = 2 * h
-        shapes = {}
-        for direction in ("fw", "bw"):
-            shapes.update({f"lstm_{direction}_W": (d, 4 * h),
-                           f"lstm_{direction}_U": (h, 4 * h),
-                           f"lstm_{direction}_b": (4 * h,)})
-    shapes.update(embed=(vocab_size, d), dense_W=(width, n), dense_b=(n,))
+        h = hyper.lstm_hidden if arch == "LSTM" else hyper.bilstm_hidden
+        directions = ("lstm",) if arch == "LSTM" else ("lstm_fw", "lstm_bw")
+        for direction in directions:
+            shapes.update({f"{direction}_W": (d, 4 * h),
+                           f"{direction}_U": (h, 4 * h),
+                           f"{direction}_b": (4 * h,)})
+        width = h * len(directions)
+    shapes.update(dense_W=(width, n), dense_b=(n,))
     return shapes
 
 
@@ -290,7 +294,9 @@ def predict_encodings(model: TaggerModel, encodings,
 
 def predict_sentence(model: TaggerModel, words, segmenter,
                      strategy: ClubbingStrategy = ClubbingStrategy.FIRST):
-    """Segment, forward, argmax per subtoken, then club back to words."""
+    """Segment, forward, argmax per subtoken, then club back to words.
+    Kept for one-sentence latency: the bench's `predict_ms_p50` /
+    `predict_ms_tail` and `bench/tracer.py` call it."""
     enc = segmenter.encode(words)
     [(word_tags, _)] = predict_encodings(model, [enc], strategy)
     return list(zip(words, word_tags))
@@ -496,6 +502,8 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
         labels = LabelSet(tuple(header["labels"]))
     except (TypeError, ValueError, InvalidHyper) as exc:
         raise CorruptCheckpoint(f"bad header: {exc}") from exc
+    if not all(isinstance(label, str) for label in labels.labels):
+        raise CorruptCheckpoint("bad header: a label is not a string")
     vocab_size = header["vocab_size"]
     tokens = header["vocab_tokens"]
     if (not isinstance(vocab_size, int) or vocab_size < 1
@@ -520,6 +528,8 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
 def _vocab_from_header(header) -> Vocab | None:
     if header["vocab_tokens"] is None:
         return None
+    if not all(isinstance(token, str) for token in header["vocab_tokens"]):
+        raise CorruptCheckpoint("bad header vocab: a token is not a string")
     try:
         return Vocab(tuple(header["vocab_tokens"]))
     except (TypeError, DuplicateToken, MissingSpecial) as exc:
@@ -585,7 +595,6 @@ def load_checkpoint(path) -> TaggerModel:
         labels=labels,
         vocab=vocab,
         tokenizer_mode=header["tokenizer_mode"],
-        vocab_size=header["vocab_size"],
         params=params,
     )
     if model.vocab_fingerprint() != header["vocab_fingerprint"]:

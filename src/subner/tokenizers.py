@@ -10,7 +10,6 @@ externally produced segmentations.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import LabeledCorpus
@@ -98,22 +97,15 @@ def load_vocab(path) -> Vocab:
     return Vocab(tokens)
 
 
-def build_word_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocab:
-    """Word-level baseline vocab: "[PAD]" (id 0), "[UNK]" (id 1), then corpus
-    words with frequency >= min_freq in first-occurrence order. The "[PAD]"
-    row keeps word ids, and so each word's seeded initial embedding, stable
-    across versions. A corpus word spelled "[PAD]" or "[UNK]" is not added
-    again: it takes that special's id."""
-    freq = Counter()
-    order = []
-    for sent in corpus:
-        for word in sent.words:
-            if word not in freq:
-                order.append(word)
-            freq[word] += 1
+def build_word_vocab(corpus: LabeledCorpus) -> Vocab:
+    """Word-level baseline vocab: "[PAD]" (id 0), "[UNK]" (id 1), then every
+    corpus word in first-occurrence order. The "[PAD]" row keeps word ids,
+    and so each word's seeded initial embedding, stable across versions. A
+    corpus word spelled "[PAD]" or "[UNK]" is not added again: it takes that
+    special's id."""
     specials = ("[PAD]", UNK_TOKEN)
-    return Vocab(specials + tuple(w for w in order if freq[w] >= min_freq
-                                  and w not in specials))
+    words = dict.fromkeys(word for sent in corpus for word in sent.words)
+    return Vocab(specials + tuple(w for w in words if w not in specials))
 
 
 def wordpiece_word(word: str, vocab: Vocab) -> list[str]:

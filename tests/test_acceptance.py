@@ -193,7 +193,7 @@ def test_acceptance_5_overfit_sanity():
     def body():
         corpus = parse_conll(TOY, "train")
         labels = build_label_set(corpus)
-        vocab = build_word_vocab(corpus, 1)
+        vocab = build_word_vocab(corpus)
         seg = VocabSegmenter(vocab, "word")
         budgets = {"CNN": 50, "LSTM": 100, "BiLSTM": 100}
         for arch, epochs in budgets.items():
@@ -229,7 +229,7 @@ def test_acceptance_6_subword_beats_word_baseline():
         scores = {}
         for name, seg in (
             ("subword", VocabSegmenter(wp_vocab, "subword")),
-            ("word", VocabSegmenter(build_word_vocab(splits["train"], 1), "word")),
+            ("word", VocabSegmenter(build_word_vocab(splits["train"]), "word")),
         ):
             model = build_model("CNN", hyper, seg.vocab, labels, 3,
                                 tokenizer_mode=seg.mode)
@@ -335,7 +335,7 @@ def test_acceptance_9_extended_real_data(tmp_path):
         scores = {}
         for name, seg in (
             ("subword", VocabSegmenter(load_vocab(vocab_path), "subword")),
-            ("word", VocabSegmenter(build_word_vocab(corpora["train"], 1),
+            ("word", VocabSegmenter(build_word_vocab(corpora["train"]),
                                     "word")),
         ):
             hyper = Hyperparams(num_labels=len(labels))

@@ -475,9 +475,10 @@ def test_repeated_config_key_exit_2(synth_dir, tmp_path, capsys, command):
     ("learning_rate = inf", "bad optimizer settings"),
     ("epsilon = nan", "bad optimizer settings"),
     ("max_len = 3.5", "config key 'max_len'"),
+    ("seed = -1", "seed must be non-negative, got -1"),
 ], ids=["learning_rate", "epochs", "embed_dim", "grad_clip_negative",
         "grad_clip_zero", "learning_rate_nan", "learning_rate_inf",
-        "epsilon_nan", "max_len_not_int"])
+        "epsilon_nan", "max_len_not_int", "seed_negative"])
 def test_train_out_of_range_config_exit_2(synth_dir, tmp_path, capsys,
                                           setting, error):
     cfg = tmp_path / "train.cfg"
@@ -489,6 +490,17 @@ def test_train_out_of_range_config_exit_2(synth_dir, tmp_path, capsys,
     ])
     assert code == 2
     assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_negative_seed_flag_exit_2(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--seed", "-1", "--out", str(out),
+    ])
+    assert code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -519,6 +531,7 @@ def with_new_tag(src, dst):
     ("test", "corpus tag 'B-NEW' not in model label set"),
     ("validation", "corpus tag 'B-NEW' not in model label set"),
     ("epoch", "unknown config key 'epoch'"),
+    ("seed", "seed must be non-negative, got -1"),
     ("arch", "unknown architecture 'GRU'"),
     ("repeated arch", "architecture 'CNN' repeated in archs"),
     ("tokenizer a/b", "tokenizer name 'a/b' is not a file name"),
@@ -534,6 +547,8 @@ def test_compare_bad_grid_exit_2_before_training(synth_dir, tmp_path, capsys,
     tokenizer = "word-based"
     if bad == "epoch":
         settings += "epoch = 2\n"
+    elif bad == "seed":
+        settings += "seed = -1\n"
     elif bad == "arch":
         archs = "CNN,GRU"
     elif bad == "repeated arch":
@@ -651,7 +666,7 @@ def write_word_segmentation(synth_dir, tmp_path, drop_last=False):
 
     corpora = {name: parse_conll((synth_dir / f"{name}.conll").read_text(), name)
                for name in ("train", "validation", "test")}
-    vocab = build_word_vocab(corpora["train"], 1)
+    vocab = build_word_vocab(corpora["train"])
     for name, corpus in corpora.items():
         sentences = corpus.sentences[:-1] if drop_last else corpus.sentences
         with open(tmp_path / f"{name}.jsonl", "w", encoding="utf-8") as fh:
@@ -873,6 +888,24 @@ def test_train_oversized_segmentation_id_exit_3(synth_dir, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: out of memory: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", ["bilstm_hidden = " + "9" * 30,
+                                     "embed_dim = " + "9" * 30])
+def test_train_size_beyond_any_array_exit_3(synth_dir, tmp_path, capsys,
+                                            setting):
+    # numpy cannot index a tensor this large: before, the hidden size
+    # escaped np.sqrt as a TypeError (exit 1)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(with_setting(TRAIN_CONFIG, setting), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "BiLSTM", "--config", str(cfg), "--out", str(out),
+    ])
+    assert code == 3
+    assert "too large to allocate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_oversized_segmentation_id_fails_only_its_cells(

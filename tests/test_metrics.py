@@ -7,7 +7,6 @@ from subner.corpus import LabeledCorpus, build_label_set, parse_conll
 from subner.errors import LengthMismatch, UnknownScheme
 from subner.metrics import (
     decode_spans,
-    encode_bio,
     evaluate,
     span_metrics,
     token_confusion,
@@ -126,6 +125,16 @@ def test_decode_spans_unknown_scheme():
         decode_spans(["O"], "iobes")
 
 
+def encode_bio(spans, length):
+    """Re-encode spans as a BIO label sequence (used to check decode)."""
+    labels = ["O"] * length
+    for cls, start, end in spans:
+        labels[start] = f"B-{cls}"
+        for pos in range(start + 1, end):
+            labels[pos] = f"I-{cls}"
+    return labels
+
+
 def _repair_bio(labels):
     """Independent statement of the orphan-I repair rule."""
     out = []
@@ -168,7 +177,7 @@ def _tiny_model_and_segmenter():
         "pune\tB-NEL\nis\tO\n\nraj\tB-NEP\nhome\tO\n\nbig\tO\ncity\tO\n\n"
     )
     labels = build_label_set(corpus)
-    vocab = build_word_vocab(corpus, 1)
+    vocab = build_word_vocab(corpus)
     hyper = Hyperparams(embed_dim=8, conv_filters=8, conv_kernel=3,
                         lstm_hidden=4, bilstm_hidden=4, num_labels=len(labels))
     model = build_model("CNN", hyper, vocab, labels, seed=0,

@@ -72,7 +72,7 @@ def small_hyper(num_labels, **overrides):
 def toy():
     corpus = parse_conll(TOY, "train")
     labels = build_label_set(corpus)
-    vocab = build_word_vocab(corpus, 1)
+    vocab = build_word_vocab(corpus)
     return corpus, labels, vocab, VocabSegmenter(vocab, "word")
 
 
@@ -93,8 +93,44 @@ def test_build_model_shapes(toy):
     assert model.params["dense_b"].shape == (8,)
     bi = build_model("BiLSTM", Hyperparams(num_labels=8), vocab, labels8, 0,
                      tokenizer_mode="word")
-    assert bi.feature_width == 1024  # 2 x 512
-    assert bi.params["dense_W"].shape == (1024, 8)
+    assert bi.params["dense_W"].shape == (1024, 8)  # 2 x 512 features
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_build_model_draws_the_documented_initialization(toy, arch):
+    # an independent statement of build_model's docstring: one generator
+    # draws the embedding, the layer (each LSTM direction through
+    # init_lstm_params, forward before backward), then the dense weight;
+    # biases are zero but the LSTM forget gate's; all on the float32 grid
+    _, labels, vocab, _ = toy
+    hyper = small_hyper(len(labels), lstm_hidden=6, bilstm_hidden=5)
+    d, n = hyper.embed_dim, len(labels)
+    rng = np.random.default_rng(11)
+    expected = {"embed": rng.uniform(-0.05, 0.05, size=(len(vocab), d))}
+    if arch == "CNN":
+        f = hyper.conv_filters
+        expected["conv_w"] = rng.uniform(-0.05, 0.05,
+                                         size=(hyper.conv_kernel, d, f))
+        expected["conv_b"] = np.zeros(f)
+        width = f
+    else:
+        h = hyper.lstm_hidden if arch == "LSTM" else hyper.bilstm_hidden
+        directions = ["lstm"] if arch == "LSTM" else ["lstm_fw", "lstm_bw"]
+        for direction in directions:
+            W, U, b = nn.init_lstm_params(rng, d, h)
+            assert np.array_equal(b, np.repeat([0.0, 1.0, 0.0, 0.0], h))
+            expected.update({f"{direction}_W": W, f"{direction}_U": U,
+                             f"{direction}_b": b})
+        width = h * len(directions)
+    expected["dense_W"] = rng.uniform(-0.05, 0.05, size=(width, n))
+    expected["dense_b"] = np.zeros(n)
+
+    model = build_model(arch, hyper, vocab, labels, 11, tokenizer_mode="word")
+    assert sorted(model.params) == sorted(expected)
+    for name, value in expected.items():
+        assert np.array_equal(model.params[name],
+                              value.astype(np.float32)), name
+    assert model.vocab_size == len(vocab)
 
 
 def test_build_model_invalid(toy):
@@ -618,6 +654,9 @@ HEADER_EDITS = {
     "hyper_float": lambda header: header["hyper"].update(
         embed_dim=float(header["hyper"]["embed_dim"])),
     "tokenizer_mode": lambda header: header.update(tokenizer_mode="bpe"),
+    "label_not_a_string": lambda header: header["labels"].__setitem__(1, 5),
+    "vocab_token_not_a_string": lambda header: header["vocab_tokens"].__setitem__(
+        2, 7),
 }
 
 

@@ -82,12 +82,10 @@ def test_load_vocab_needs_no_pad_token(tmp_path):
     assert segment_sentence(["abcd", "x"], vocab).ids == (1, 2, 0)
 
 
-def test_build_word_vocab_min_freq():
+def test_build_word_vocab_keeps_every_word_once():
     corpus = parse_conll("a\tO\na\tO\nb\tO\n\n")
-    vocab = build_word_vocab(corpus, min_freq=2)
-    assert vocab.token_of == ("[PAD]", "[UNK]", "a")
-    vocab1 = build_word_vocab(corpus, min_freq=1)
-    assert vocab1.token_of == ("[PAD]", "[UNK]", "a", "b")
+    vocab = build_word_vocab(corpus)
+    assert vocab.token_of == ("[PAD]", "[UNK]", "a", "b")
 
 
 def test_build_word_vocab_corpus_word_spelled_as_a_special():
@@ -100,7 +98,7 @@ def test_build_word_vocab_corpus_word_spelled_as_a_special():
 
 def test_word_mode_oov_gets_unk_id():
     corpus = parse_conll("a\tO\n\n")
-    vocab = build_word_vocab(corpus, min_freq=1)
+    vocab = build_word_vocab(corpus)
     enc = segment_sentence(["zzz"], vocab, "word")
     assert enc.ids == (vocab.unk_id,)
     assert enc.subtokens == ("zzz",)  # surface string kept
@@ -188,7 +186,7 @@ def test_fertility_examples():
 
 def test_fertility_word_mode_is_one():
     corpus = parse_conll("a\tO\nbb\tO\ncc\tO\n\n")
-    vocab = build_word_vocab(corpus, min_freq=1)
+    vocab = build_word_vocab(corpus)
     assert fertility_stats(corpus, vocab, "word").fertility == 1.0
 
 
