@@ -1,18 +1,21 @@
 """Minimal differentiable numeric core: embedding, 1D convolution, LSTM,
 BiLSTM, dense, softmax cross-entropy, and RMSProp.
 
-Every layer takes a *packed batch* in float64: the real positions of all
-rows concatenated into one flat (N, dim) array, plus each row's length
+Every layer takes a *packed batch*: the real positions of all rows
+concatenated into one flat (N, dim) array, plus each row's length
 (`lengths`, summing to N; omitted, the array is one row). No pad position
-exists, so nothing can leak through padding.
+exists, so nothing can leak through padding. A layer computes and
+allocates in its inputs' dtype; the taggers pass float64.
 Embedding, dense and the cross-entropy work position by position. The
 convolution puts its zero padding at each row boundary before im2col. The
 LSTM computes its input projection as one matrix product over all
 positions and visits them step by step, rows sorted by length so that step
 t is one product of the first n_t rows' states with the recurrent weights;
-its input and weight gradients are again one product each. A sentence is
-the batch of one. Every backward pass is verifiable against central finite
-differences (see grad_check).
+its input and weight gradients are again one product each. Run in reverse,
+the same index visits each row from its end, so the BiLSTM is two LSTMs
+over the same batch and no row is copied. A sentence is the batch of one.
+Every backward pass is verifiable against central finite differences (see
+grad_check).
 
 The embedding gradient is row-sparse: `embedding_row_grads` returns only the
 rows a batch touches (`RowGrad`), and `rmsprop_step` updates only those
@@ -32,6 +35,7 @@ import numpy as np
 from .errors import EmptyBatch, IdOutOfRange, ShapeMismatch
 
 
+@np.errstate(over="ignore")  # a saturated gate is exactly 0: exp(-x) = inf
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -176,41 +180,40 @@ def init_lstm_params(rng, d, h):
 class _TimeMajor(NamedTuple):
     """A packed batch's positions step by step, rows sorted by length
     (longest first, ties in row order): step t holds `sizes[t]` rows, in
-    slots `starts[t]:starts[t] + sizes[t]`. `flat[s]` is slot s's position
-    in the packed batch. `prev[s]` is the row of the state array that holds
-    slot s's incoming state: rows 0..B-1 are the zero initial states, row
-    B + s the state slot s leaves."""
+    slots `starts[t]:starts[t] + sizes[t]`, and the rows still running at
+    step t + 1 are the first `sizes[t + 1]` of them. `flat[s]` is slot s's
+    position in the packed batch: step t visits each row's position t,
+    counted from the row's start or, reversed, from its end."""
     flat: np.ndarray
     sizes: list
     starts: list
-    prev: list      # read by the backward pass only
-    rows: int
 
 
-def _time_major(lengths) -> _TimeMajor:
-    rows = len(lengths)
-    order = sorted(range(rows), key=lengths.__getitem__, reverse=True)
+def _time_major(lengths, reverse=False) -> _TimeMajor:
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     row_start = _starts(lengths)
-    flat, prev, sizes, starts = [], [], [], []
-    running = rows
-    for t in range(lengths[order[0]] if rows else 0):
+    flat, sizes, starts = [], [], []
+    running = len(lengths)
+    for t in range(lengths[order[0]] if lengths else 0):
         while lengths[order[running - 1]] <= t:  # rows that have ended
             running -= 1
-        before = rows + starts[-1] if starts else 0
         starts.append(len(flat))
         sizes.append(running)
-        flat += [row_start[r] + t for r in order[:running]]
-        prev += range(before, before + running)
-    return _TimeMajor(np.array(flat, dtype=np.intp), sizes, starts, prev, rows)
+        flat += [row_start[r] + (lengths[r] - 1 - t if reverse else t)
+                 for r in order[:running]]
+    return _TimeMajor(np.array(flat, dtype=np.intp), sizes, starts)
 
 
-def lstm_forward(x, W, U, b, lengths=None):
+def lstm_forward(x, W, U, b, lengths=None, reverse=False):
     """Standard LSTM over each row of the packed x (N, d), zero initial
-    state. Returns h_seq (N, h) and a cache for backward-through-time.
+    state, run from each row's end to its start when `reverse`. Returns
+    h_seq (N, h) and a cache for backward-through-time.
 
     The input projection x @ W + b is one GEMM over all positions, laid out
     time-major (see `_time_major`); step t adds h_prev @ U for the rows still
-    running, a prefix of the step's slots, so no state passes a row's end."""
+    running, a prefix of the step's slots, so no state passes a row's end.
+    Each slot's incoming state (zero at a row's first step) is kept in slot
+    order for the backward pass."""
     if x.ndim != 2 or W.ndim != 2 or U.ndim != 2 or b.ndim != 1:
         raise ShapeMismatch("lstm expects x(len,d), W(d,4h), U(h,4h), b(4h)")
     d4 = W.shape[1]
@@ -220,29 +223,28 @@ def lstm_forward(x, W, U, b, lengths=None):
             f"b {b.shape}"
         )
     h = d4 // 4
-    tm = _time_major(_row_lengths(x, lengths))
+    tm = _time_major(_row_lengths(x, lengths), reverse)
     x_tm = x[tm.flat]
     gates = x_tm @ W + b                 # (N, 4h): pre-activations, then i|f|g|o
-    hc_s = np.empty((x.shape[0], h))
-    # state arrays: B zero initial states, then the state each slot leaves
-    c_s = np.zeros((tm.rows + x.shape[0], h))
-    h_s = np.zeros((tm.rows + x.shape[0], h))
-    c, h_prev = c_s[:tm.rows], h_s[:tm.rows]
-    for start, n in zip(tm.starts, tm.sizes):
-        # the rows still running are a prefix of the last step's rows
-        a = gates[start:start + n]
-        a += h_prev[:n] @ U
+    c_in = np.zeros((x.shape[0], h), dtype=gates.dtype)
+    h_in = np.zeros((x.shape[0], h), dtype=gates.dtype)
+    hc_s = np.empty((x.shape[0], h), dtype=gates.dtype)
+    h_seq = np.empty((x.shape[0], h), dtype=gates.dtype)
+    for start, n, going in zip(tm.starts, tm.sizes, tm.sizes[1:] + [0]):
+        now, nxt = slice(start, start + n), slice(start + n, start + n + going)
+        a = gates[now]
+        a += h_in[now] @ U
         a[:, :2 * h] = sigmoid(a[:, :2 * h])
         a[:, 2 * h:3 * h] = np.tanh(a[:, 2 * h:3 * h])
         a[:, 3 * h:] = sigmoid(a[:, 3 * h:])
-        c = a[:, h:2 * h] * c[:n] + a[:, :h] * a[:, 2 * h:3 * h]
-        c_s[tm.rows + start:tm.rows + start + n] = c
-        hc = np.tanh(c, out=hc_s[start:start + n])
-        h_prev = np.multiply(a[:, 3 * h:], hc,
-                             out=h_s[tm.rows + start:tm.rows + start + n])
-    h_seq = np.empty((x.shape[0], h))
-    h_seq[tm.flat] = h_s[tm.rows:]
-    cache = (x_tm, W, U, gates, c_s, hc_s, h_s, tm)
+        c = a[:, h:2 * h] * c_in[now] + a[:, :h] * a[:, 2 * h:3 * h]
+        hc = np.tanh(c, out=hc_s[now])
+        h_out = a[:, 3 * h:] * hc
+        h_seq[tm.flat[now]] = h_out
+        # the rows still running are a prefix of this step's rows
+        c_in[nxt] = c[:going]
+        h_in[nxt] = h_out[:going]
+    cache = (x_tm, W, U, gates, c_in, h_in, hc_s, tm)
     return h_seq, cache
 
 
@@ -252,20 +254,18 @@ def lstm_backward(cache, dh_seq):
     Only dh_next = da @ U.T is recurrent; the gate gradients of every step
     are collected in da_all and the input and weight gradients come from
     one GEMM each after the loop."""
-    x_tm, W, U, gates, c_s, hc_s, h_s, tm = cache
+    x_tm, W, U, gates, c_in, h_in, hc_s, tm = cache
     h = dh_seq.shape[1]
     i, f = gates[:, :h], gates[:, h:2 * h]
     g, o = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
-    prev = np.array(tm.prev, dtype=np.intp)
-    c_prevs = c_s[prev]
     # per-slot factors that need no recurrent input
     dc_from_dh = o * (1.0 - hc_s * hc_s)
-    da_from_dc = np.hstack([g * i * (1.0 - i), c_prevs * f * (1.0 - f),
+    da_from_dc = np.hstack([g * i * (1.0 - i), c_in * f * (1.0 - f),
                             i * (1.0 - g * g)]).reshape(-1, 3, h)
     da_from_dh = hc_s * o * (1.0 - o)
     dh_tm = dh_seq[tm.flat]
-    da_all = np.empty((x_tm.shape[0], 4 * h))
-    dh_next = dc_next = np.zeros((0, h))
+    da_all = np.empty((x_tm.shape[0], 4 * h), dtype=gates.dtype)
+    dh_next = dc_next = np.zeros((0, h), dtype=gates.dtype)
     for start, n in zip(tm.starts[::-1], tm.sizes[::-1]):
         now = slice(start, start + n)
         going = dh_next.shape[0]         # rows that run on to the next step
@@ -278,41 +278,28 @@ def lstm_backward(cache, dh_seq):
         da[:, 3 * h:] = dh * da_from_dh[now]
         dc_next = dc * f[now]
         dh_next = da @ U.T
-    dx = np.empty((x_tm.shape[0], W.shape[0]))
+    dx = np.empty((x_tm.shape[0], W.shape[0]), dtype=gates.dtype)
     dx[tm.flat] = da_all @ W.T
     dW = x_tm.T @ da_all
-    dU = h_s[prev].T @ da_all
+    dU = h_in.T @ da_all
     db = da_all.sum(axis=0)
     return dx, dW, dU, db
 
 
-def _reversed_rows(lengths):
-    """Index that reverses each row of a packed batch in place."""
-    rev = []
-    for start, n in zip(_starts(lengths), lengths):
-        rev += range(start + n - 1, start - 1, -1)
-    return np.array(rev, dtype=np.intp)
-
-
 def bilstm_forward(x, params_fw, params_bw, lengths=None):
-    """Forward LSTM on x, backward LSTM on each row of x reversed (output
-    re-reversed), concatenated along the feature axis. params_*: (W, U, b)
-    triples."""
-    lengths = _row_lengths(x, lengths)
-    rev = _reversed_rows(lengths)
+    """Forward LSTM over each row and backward LSTM over each row from its
+    end, concatenated along the feature axis. params_*: (W, U, b) triples."""
     h_fw, cache_fw = lstm_forward(x, *params_fw, lengths=lengths)
-    h_bw_rev, cache_bw = lstm_forward(x[rev], *params_bw, lengths=lengths)
-    out = np.concatenate([h_fw, h_bw_rev[rev]], axis=1)
-    return out, (cache_fw, cache_bw, rev)
+    h_bw, cache_bw = lstm_forward(x, *params_bw, lengths=lengths, reverse=True)
+    return np.concatenate([h_fw, h_bw], axis=1), (cache_fw, cache_bw)
 
 
 def bilstm_backward(cache, dout):
-    cache_fw, cache_bw, rev = cache
+    cache_fw, cache_bw = cache
     h = dout.shape[1] // 2
-    dx_fw, dW_fw, dU_fw, db_fw = lstm_backward(cache_fw, dout[:, :h])
-    dx_bw_rev, dW_bw, dU_bw, db_bw = lstm_backward(cache_bw, dout[rev, h:])
-    dx = dx_fw + dx_bw_rev[rev]
-    return dx, (dW_fw, dU_fw, db_fw), (dW_bw, dU_bw, db_bw)
+    dx_fw, *grads_fw = lstm_backward(cache_fw, dout[:, :h])
+    dx_bw, *grads_bw = lstm_backward(cache_bw, dout[:, h:])
+    return dx_fw + dx_bw, tuple(grads_fw), tuple(grads_bw)
 
 
 # ---------------------------------------------------------------------------

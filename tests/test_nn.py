@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from subner import nn
+from subner.alignment import make_padded_batch
 from subner.errors import EmptyBatch, IdOutOfRange, ShapeMismatch
+from subner.tokenizers import SubwordEncoding
 
 
 def test_embedding_lookup():
@@ -227,6 +229,80 @@ def test_bilstm_grad_check():
     analytic = {"x": dx, "fW": gf[0], "fU": gf[1], "fb": gf[2],
                 "bW": gb[0], "bU": gb[1], "bb": gb[2]}
     assert nn.grad_check(loss, arrays, analytic) < 1e-4
+
+
+def test_sigmoid_saturates_without_warning():
+    # exp(1000) overflows to inf, and 1 / (1 + inf) is exactly the limit 0;
+    # tier-1 turns a RuntimeWarning into an error
+    assert np.array_equal(nn.sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+    assert nn.sigmoid(-1000.0) == 0.0 and nn.sigmoid(1000.0) == 1.0
+
+
+def test_lstm_saturated_gates_without_warning():
+    # inputs of +-1000 drive every gate to exactly 0 or 1
+    x = np.array([[1000.0], [-1000.0], [1000.0]])
+    W, U, b = np.ones((1, 8)), np.zeros((2, 8)), np.zeros(8)
+    h_seq, cache = nn.lstm_forward(x, W, U, b)
+    # c: 1, then 0 (forget and input gates shut), then 1
+    assert np.array_equal(h_seq, np.tanh([[1.0] * 2, [0.0] * 2, [1.0] * 2]))
+    assert all(np.isfinite(g).all()
+               for g in nn.lstm_backward(cache, np.ones((3, 2))))
+
+
+def packed_rows_with_an_empty_one():
+    """Row lengths of a packed batch from `make_padded_batch`: a row whose
+    first word has more subtokens than max_len keeps none."""
+    def encoding(word_sizes):
+        word_ids = [w for w, size in enumerate(word_sizes) for _ in range(size)]
+        return SubwordEncoding(("t",) * len(word_ids), (0,) * len(word_ids),
+                               tuple(word_ids))
+    encodings = [encoding(s) for s in ([1], [4, 1], [1, 1, 1, 1, 1], [2],
+                                       [1, 2, 2])]
+    batch = make_padded_batch([(e, [0] * len(e.ids)) for e in encodings],
+                              max_len=3)
+    return batch.lengths.tolist()
+
+
+def test_lstm_reverse_equals_reversed_rows_run_forward():
+    # what reverse=True replaces: each row reversed by copying, run forward,
+    # and its outputs and input gradient reversed back
+    lengths = packed_rows_with_an_empty_one()
+    assert 0 in lengths and len(set(lengths)) > 2
+    rev = np.array([i for start, n in zip(np.cumsum([0] + lengths), lengths)
+                    for i in range(start + n - 1, start - 1, -1)], dtype=int)
+    rng = np.random.default_rng(21)
+    W, U, b = nn.init_lstm_params(rng, 4, 3)
+    x = rng.normal(size=(sum(lengths), 4))
+    dh_seq = rng.normal(size=(sum(lengths), 3))
+    h_seq, cache = nn.lstm_forward(x, W, U, b, lengths, reverse=True)
+    got = (h_seq,) + nn.lstm_backward(cache, dh_seq)
+    h_seq, cache = nn.lstm_forward(x[rev], W, U, b, lengths)
+    dx, dW, dU, db = nn.lstm_backward(cache, dh_seq[rev])
+    for actual, expected in zip(got, (h_seq[rev], dx[rev], dW, dU, db)):
+        assert np.array_equal(actual, expected)
+
+
+def test_lstm_computes_in_the_input_dtype():
+    # float32 in, float32 out, gradients included; float64 is the reference,
+    # and rtol 1e-4 is about 1000 float32 roundings (eps 1.2e-7), ample for
+    # five steps of O(1) values
+    lengths = [5, 2, 0, 4]
+    rng = np.random.default_rng(22)
+    pf, pb = nn.init_lstm_params(rng, 3, 2), nn.init_lstm_params(rng, 3, 2)
+    x = rng.normal(size=(11, 3))
+    dy = rng.normal(size=(11, 4))
+
+    def run(dtype):
+        def cast(arrays):
+            return tuple(a.astype(dtype) for a in arrays)
+        out, cache = nn.bilstm_forward(x.astype(dtype), cast(pf), cast(pb),
+                                       lengths)
+        dx, gf, gb = nn.bilstm_backward(cache, dy.astype(dtype))
+        return (out, dx) + gf + gb
+
+    for single, double in zip(run(np.float32), run(np.float64)):
+        assert single.dtype == np.float32
+        assert np.allclose(single, double, rtol=1e-4, atol=1e-5)
 
 
 def test_dense_identity_and_bias():

@@ -160,17 +160,26 @@ def test_count_params_closed_form():
         1000 * 300 + 2 * 4 * (512 * (300 + 512) + 512) + (1024 * 8 + 8)
 
 
-def test_train_deterministic(toy):
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_deterministic(tmp_path, toy, arch):
+    # equal seeds give equal history and checkpoint bytes, with a validation
+    # split and a max_len that truncates the four-word sentences
     corpus, labels, vocab, seg = toy
-    hyper = small_hyper(len(labels))
-    config = TrainConfig(epochs=3, batch_size=4, max_len=8, seed=2)
-    histories = []
-    for _ in range(2):
-        model = build_model("CNN", hyper, vocab, labels, 2, tokenizer_mode="word")
-        _, history = train(model, corpus, None, seg, config)
-        histories.append(history)
-    assert histories[0].train_loss == histories[1].train_loss
-    assert histories[0].to_file_text() == histories[1].to_file_text()
+    train_split = LabeledCorpus(corpus.sentences[:7], "train")
+    val_split = LabeledCorpus(corpus.sentences[7:], "validation")
+    config = TrainConfig(epochs=4, batch_size=3, max_len=3, seed=2,
+                         learning_rate=0.03)
+    histories, checkpoints = [], []
+    for run in range(2):
+        model = build_model(arch, small_hyper(len(labels)), vocab, labels, 2,
+                            tokenizer_mode="word")
+        model, history = train(model, train_split, val_split, seg, config)
+        assert history.truncated_rows > 0 and None not in history.val_macro_f1
+        save_checkpoint(model, tmp_path / f"{run}.ckpt")
+        histories.append((history.train_loss, history.to_file_text()))
+        checkpoints.append((tmp_path / f"{run}.ckpt").read_bytes())
+    assert histories[0] == histories[1]
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_train_overfits_toy_cnn(toy):
