@@ -5,7 +5,8 @@ Every layer takes a *packed batch*: the real positions of all rows
 concatenated into one flat (N, dim) array, plus each row's length
 (`lengths`, summing to N; omitted, the array is one row). No pad position
 exists, so nothing can leak through padding. A layer computes and
-allocates in its inputs' dtype; the taggers pass float64.
+allocates in its inputs' dtype: the taggers pass float32, the gradient
+checks float64.
 Embedding, dense and the cross-entropy work position by position. The
 convolution puts its zero padding at each row boundary before im2col. The
 LSTM computes its input projection as one matrix product over all

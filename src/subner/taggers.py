@@ -125,13 +125,6 @@ class TaggerModel:
         return digest.hexdigest()
 
 
-def _round_to_f32_grid(params):
-    # parameters live on the float32 grid so checkpoints round-trip exactly;
-    # rounding in place needs only a float32 temporary, not a float64 copy
-    for p in params.values():
-        p[...] = p.astype(np.float32)
-
-
 def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
                 labels: LabelSet, seed: int, tokenizer_mode: str | None = None,
                 vocab_size: int | None = None) -> TaggerModel:
@@ -141,8 +134,9 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
     then the layer (an LSTM's forward direction before its backward one),
     then the dense weight. Embedding/conv/dense weights ~ U(-0.05, 0.05);
     each LSTM direction is `nn.init_lstm_params` (W, then U, each
-    U(-1/sqrt(h), 1/sqrt(h)); forget-gate bias 1); other biases 0. Every
-    tensor is then rounded to the float32 grid.
+    U(-1/sqrt(h), 1/sqrt(h)); forget-gate bias 1); other biases 0. Each
+    tensor is drawn in float64 and stored in float32, the dtype every layer
+    computes in and checkpoints store.
     """
     if arch not in ARCHS:
         raise InvalidHyper(f"unknown architecture {arch!r}")
@@ -178,7 +172,7 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
             params[name] = np.zeros(shape)
         else:
             params[name] = rng.uniform(-0.05, 0.05, size=shape)
-    _round_to_f32_grid(params)
+    params = {name: p.astype(np.float32) for name, p in params.items()}
     return TaggerModel(arch, hyper, labels, vocab, tokenizer_mode, params)
 
 
@@ -309,7 +303,7 @@ def _clip_grads(grads, max_norm) -> float:
     entries."""
     arrays = [g.values if isinstance(g, nn.RowGrad) else g
               for g in grads.values()]
-    total = np.sqrt(sum(float(np.vdot(g, g)) for g in arrays))
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in arrays))
     if max_norm is not None and total > max_norm:
         scale = max_norm / total
         for g in arrays:
@@ -347,9 +341,8 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     only the rows some step has touched (`nn.RmspropState.live`). The best
     epoch's snapshot copies every other parameter; of the table it keeps
     each row as it was at that epoch, saved before a later step first
-    changes it. At the end only the other parameters and the touched rows
-    are rounded to the float32 grid: the rest are still on the grid, as
-    `build_model` and `load_checkpoint` leave a model.
+    changes it. Every step computes in the parameters' float32, the dtype
+    a checkpoint stores.
 
     Raises EmptySplit when no training subtoken fits `max_len`, and
     NonFiniteLoss when a batch loss or a gradient norm is not finite, or an
@@ -444,9 +437,6 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         for rows, values in undo:
             embed[rows] = values
         model.params.update(best_params)
-    _round_to_f32_grid({k: v for k, v in model.params.items() if k != "embed"})
-    rows = state.live["embed"]
-    embed[rows] = embed[rows].astype(np.float32)
     return model, history
 
 
@@ -476,7 +466,7 @@ def save_checkpoint(model: TaggerModel, path):
     blob += struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
     blob += header_bytes
     for name in sorted(model.params):
-        blob += model.params[name].astype("<f4").tobytes()
+        blob += model.params[name].astype("<f4", copy=False).tobytes()
     blob += hashlib.sha256(blob).digest()[:8]
     atomic_write_bytes(path, blob)
 
@@ -536,9 +526,9 @@ def _vocab_from_header(header) -> Vocab | None:
         raise CorruptCheckpoint(f"bad header vocab: {exc}") from exc
 
 
-# A load hashes the file, then reads and widens each tensor this many
-# float32 values at a time: it never holds the file's bytes next to the
-# widened float64 tensors (36 MB for a 30k x 300 embedding).
+# A load hashes the file, then reads each tensor this many float32 values
+# at a time: it never holds the file's bytes next to the tensors (36 MB for
+# a 30k x 300 embedding).
 LOAD_CHUNK = 1 << 18
 
 
@@ -575,7 +565,7 @@ def load_checkpoint(path) -> TaggerModel:
             count = math.prod(shape)
             if offset + 4 * count > total - 8:
                 raise CorruptCheckpoint(f"tensor {name!r} truncated")
-            flat = np.empty(count)
+            flat = np.empty(count, dtype=np.float32)
             for start in range(0, count, LOAD_CHUNK):
                 part = np.frombuffer(fh.read(4 * min(LOAD_CHUNK, count - start)),
                                      dtype="<f4")

@@ -101,7 +101,7 @@ def test_build_model_draws_the_documented_initialization(toy, arch):
     # an independent statement of build_model's docstring: one generator
     # draws the embedding, the layer (each LSTM direction through
     # init_lstm_params, forward before backward), then the dense weight;
-    # biases are zero but the LSTM forget gate's; all on the float32 grid
+    # biases are zero but the LSTM forget gate's; each cast to float32
     _, labels, vocab, _ = toy
     hyper = small_hyper(len(labels), lstm_hidden=6, bilstm_hidden=5)
     d, n = hyper.embed_dim, len(labels)
@@ -128,6 +128,7 @@ def test_build_model_draws_the_documented_initialization(toy, arch):
     model = build_model(arch, hyper, vocab, labels, 11, tokenizer_mode="word")
     assert sorted(model.params) == sorted(expected)
     for name, value in expected.items():
+        assert model.params[name].dtype == np.float32, name
         assert np.array_equal(model.params[name],
                               value.astype(np.float32)), name
     assert model.vocab_size == len(vocab)
@@ -443,8 +444,6 @@ def dense_reference_train(model, corpus, seg, config):
                 model.params[name] -= (config.learning_rate * g
                                        / (np.sqrt(s[name]) + config.epsilon))
         losses.append(nll_total / positions)
-    for name, p in model.params.items():
-        model.params[name] = p.astype(np.float32).astype(np.float64)
     return losses, steps, seen
 
 
@@ -489,13 +488,21 @@ def split_rows(array, lengths):
     return np.split(array, np.cumsum(lengths)[:-1])
 
 
+def in_float64(model):
+    """`model` with its float32 parameters cast to float64, for tests whose
+    subject is not precision and that compare at float64 tolerances."""
+    model.params = {name: p.astype(np.float64)
+                    for name, p in model.params.items()}
+    return model
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_packed_batch_matches_batch_of_one(toy, arch):
-    # float64, and a packed batch only reorders the sums inside the GEMMs:
+    # in float64, a packed batch only reorders the sums inside the GEMMs:
     # logits and gradients agree with the batch of one to rounding
     corpus, labels, vocab, seg = toy
-    model = build_model(arch, small_hyper(len(labels)), vocab, labels, 5,
-                        tokenizer_mode="word")
+    model = in_float64(build_model(arch, small_hyper(len(labels)), vocab,
+                                   labels, 5, tokenizer_mode="word"))
     sentences = (corpus.sentences[1], parse_conll("pune\tB-NEL\n").sentences[0],
                  parse_conll(REPEATS).sentences[-1], corpus.sentences[0],
                  corpus.sentences[4])
@@ -526,6 +533,79 @@ def test_packed_batch_matches_batch_of_one(toy, arch):
     grads["embed"] = nn.embedding_backward(*grads["embed"], model.vocab_size)
     for name, g in grads.items():
         assert np.allclose(g, expected[name], rtol=1e-10, atol=1e-15), name
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_float32_end_to_end(tmp_path, toy, arch, monkeypatch):
+    # one float64 scalar in a product upcasts a whole step (numpy 2's NEP 50
+    # promotion), so parameters, RMSProp state, the logits of training and
+    # validation, and every gradient are all checked
+    corpus, labels, vocab, seg = toy
+    float32 = np.dtype(np.float32)
+    model = build_model(arch, small_hyper(len(labels)), vocab, labels, 3,
+                        tokenizer_mode="word")
+    assert {p.dtype for p in model.params.values()} == {float32}
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    model = load_checkpoint(tmp_path / "model.ckpt")
+    assert {p.dtype for p in model.params.values()} == {float32}
+
+    seen = {}
+    real_forward, real_step = taggers.forward, nn.rmsprop_step
+
+    def recording_forward(model, ids, lengths=None):
+        logits, cache = real_forward(model, ids, lengths)
+        seen.setdefault("logits", set()).add(logits.dtype)
+        return logits, cache
+
+    def recording_step(params, grads, state):
+        for name, g in grads.items():
+            g = g.values if isinstance(g, nn.RowGrad) else g
+            seen.setdefault(f"grad {name}", set()).add(g.dtype)
+        for name, s in state.s.items():
+            seen.setdefault(f"s {name}", set()).add(s.dtype)
+        real_step(params, grads, state)
+
+    monkeypatch.setattr(taggers, "forward", recording_forward)
+    monkeypatch.setattr(nn, "rmsprop_step", recording_step)
+    config = TrainConfig(epochs=3, batch_size=4, max_len=8, seed=3,
+                         learning_rate=0.03)
+    trained, history = train(model, LabeledCorpus(corpus.sentences[:7]),
+                             LabeledCorpus(corpus.sentences[7:]), seg, config)
+    assert history.best_epoch is not None  # the restore path ran
+    assert sorted(seen) == sorted(["logits"]
+                                  + [f"grad {name}" for name in model.params]
+                                  + [f"s {name}" for name in model.params])
+    assert all(dtypes == {float32} for dtypes in seen.values()), seen
+    assert {p.dtype for p in trained.params.values()} == {float32}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_float32_training_tracks_float64(toy, arch):
+    # nine RMSProp steps of a float32 model against the same steps on a
+    # float64 copy of its parameters. Measured: epoch losses agree to 5e-8
+    # (relative) and parameters to 1.8e-6 (absolute, the LSTM's), while the
+    # steps move them by about 0.25; the bounds leave 200x and 5x of room.
+    corpus, labels, vocab, seg = toy
+    config = TrainConfig(epochs=3, batch_size=4, max_len=8, seed=5,
+                         learning_rate=1e-2)
+    runs = []
+    for cast in (lambda m: m, in_float64):
+        model = cast(build_model(arch, small_hyper(len(labels)), vocab,
+                                 labels, 5, tokenizer_mode="word"))
+        runs.append(train(model, corpus, None, seg, config))
+    (single, single_history), (double, double_history) = runs
+    assert single.params["embed"].dtype == np.float32
+    assert double.params["embed"].dtype == np.float64
+    assert np.allclose(single_history.train_loss, double_history.train_loss,
+                       rtol=1e-5, atol=0)
+    initial = build_model(arch, small_hyper(len(labels)), vocab, labels, 5,
+                          tokenizer_mode="word").params
+    moved = max(np.abs(double.params[name] - initial[name]).max()
+                for name in initial)
+    assert moved > 0.1
+    for name in initial:
+        assert np.allclose(single.params[name], double.params[name],
+                           rtol=0, atol=1e-5), name
 
 
 def test_predict_encodings_blocks_by_subtoken_cap(toy, monkeypatch):
@@ -582,8 +662,8 @@ def test_evaluate_labels_match_predict_sentence(arch, monkeypatch):
 
 def test_clip_grads_counts_row_grads(toy):
     corpus, labels, vocab, seg = toy
-    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 1,
-                        tokenizer_mode="word")
+    model = in_float64(build_model("CNN", small_hyper(len(labels)), vocab,
+                                   labels, 1, tokenizer_mode="word"))
     enc = seg.encode(corpus.sentences[1].words)
     logits, cache = forward(model, enc.ids)
     label_idx = [labels.index(t) for t in corpus.sentences[1].tags]
