@@ -1,0 +1,28 @@
+#!/bin/sh
+# Builds the parity grid (README, "Parity grid") in <out>, which must not
+# exist yet, and prints the sha256sum listing of its checkpoints, histories,
+# reports and eval TSVs, each group in C-locale order. The commands' own
+# output goes to stderr, so stdout is the listing alone.
+#
+#   parity/build.sh <out> > listing.sha256
+set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <out>" >&2
+    exit 2
+fi
+export LC_ALL=C
+root=$(cd "$(dirname "$0")/.." && pwd)
+out=$1
+subner() {
+    PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" python3 -m subner "$@" >&2
+}
+mkdir "$out"
+subner synth --config "$root/parity/synth.cfg" --out "$out/data"
+cp "$root/parity/grid.cfg" "$out/"
+subner compare --grid "$out/grid.cfg" --out "$out/grid"
+for ckpt in "$out"/grid/*.ckpt; do
+    subner eval --checkpoint "$ckpt" --test "$out/data/test.conll" \
+        --span-scheme flat --out "${ckpt%.ckpt}.eval.tsv"
+done
+cd "$out/grid"
+sha256sum *.ckpt *.history.txt report.* *.eval.tsv

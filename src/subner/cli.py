@@ -195,6 +195,13 @@ def _run_training(train_corpus, val_corpus, tokenizer, arch, labels, config,
     model = taggers_mod.build_model(arch, hyper, segmenter.vocab, labels,
                                     config.seed, tokenizer_mode=segmenter.mode,
                                     vocab_size=segmenter.vocab_size)
+    # a file in the way of out_dir fails os.makedirs below; fail before
+    # training instead, creating nothing
+    blocker = os.path.abspath(out_dir)
+    while not os.path.exists(blocker):
+        blocker = os.path.dirname(blocker)
+    if not os.path.isdir(blocker):
+        raise InvalidConfig(f"--out {out_dir}: {blocker} is not a directory")
     t0 = time.perf_counter()
     model, history = taggers_mod.train(model, train_corpus, val_corpus,
                                        segmenter, config)

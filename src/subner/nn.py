@@ -20,10 +20,9 @@ grad_check).
 
 The embedding gradient is row-sparse: `embedding_row_grads` returns only the
 rows a batch touches (`RowGrad`), and `rmsprop_step` updates only those
-rows of the table and decays the mean-square accumulator only in the rows
-some step has touched, so a step's cost follows the rows touched so far,
-not the size of the vocabulary. `embedding_backward` scatters the same rows
-into the dense table.
+rows of the table, after one multiply that decays its whole mean-square
+accumulator: the taggers train on the rows their training split uses.
+`embedding_backward` scatters the same rows into the dense table.
 """
 
 from __future__ import annotations
@@ -361,11 +360,7 @@ def masked_softmax_ce(logits, targets):
 
 
 class RmspropState:
-    """Per-parameter running mean-square accumulators, zero at the start.
-
-    `live[name]` holds the sorted rows of a row-gradient parameter that some
-    `RowGrad` has reached; its accumulator is still 0 in every other row,
-    whose memory `np.zeros` leaves unwritten until a step needs it."""
+    """Per-parameter running mean-square accumulators, zero at the start."""
 
     def __init__(self, params, learning_rate=1e-3, rho=0.9, epsilon=1e-8):
         self.learning_rate = learning_rate
@@ -373,16 +368,15 @@ class RmspropState:
         self.epsilon = epsilon
         self.s = {name: np.zeros(p.shape, dtype=p.dtype)
                   for name, p in params.items()}
-        self.live = {}
 
 
 def rmsprop_step(params, grads, state: RmspropState):
     """s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s)+eps), elementwise.
 
-    A `RowGrad` updates its rows only, after decaying `s` in every row any
-    step has touched: that is exactly the dense step with a zero gradient
-    elsewhere, where (1-rho)*0*0 leaves s and lr*0/(sqrt(s)+eps) leaves p as
-    they are, and a row never touched holds s = 0 = rho*0."""
+    A `RowGrad` updates its rows only, after decaying all of `s`: exactly
+    the dense step with a zero gradient elsewhere, where (1-rho)*0*0 leaves
+    s and lr*0/(sqrt(s)+eps) leaves p as they are. The decay is one
+    multiply over the table, so `taggers.train` passes the rows it uses."""
     for name, g in grads.items():
         p = params[name]
         rows = None
@@ -393,14 +387,11 @@ def rmsprop_step(params, grads, state: RmspropState):
         elif g.shape != p.shape:
             raise ShapeMismatch(f"grad/param shape mismatch for {name!r}")
         s = state.s[name]
+        s *= state.rho
         if rows is None:
-            s *= state.rho
             s += (1.0 - state.rho) * g * g
             p -= state.learning_rate * g / (np.sqrt(s) + state.epsilon)
         else:
-            live = np.union1d(state.live.get(name, rows), rows)
-            state.live[name] = live
-            s[live] *= state.rho
             s_rows = s[rows] + (1.0 - state.rho) * g * g
             s[rows] = s_rows
             p[rows] -= state.learning_rate * g / (np.sqrt(s_rows) + state.epsilon)

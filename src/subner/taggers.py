@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -337,12 +337,12 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     updates only those rows of the table. Validation forwards the split in
     length-sorted blocks (`predict_encodings`).
 
-    No step does work in proportion to the embedding table: RMSProp decays
-    only the rows some step has touched (`nn.RmspropState.live`). The best
-    epoch's snapshot copies every other parameter; of the table it keeps
-    each row as it was at that epoch, saved before a later step first
-    changes it. Every step computes in the parameters' float32, the dtype
-    a checkpoint stores.
+    No step does work in proportion to the embedding table: training runs
+    on a copy of the rows the training split's ids use (`used`, sorted;
+    each batch's ids renumbered into it), which RMSProp's state and the
+    best epoch's snapshot cover, and which is written back into the table
+    before each validation and at the end. Every step computes in the
+    parameters' float32, the dtype a checkpoint stores.
 
     Raises EmptySplit when no training subtoken fits `max_len`, and
     NonFiniteLoss when a batch loss or a gradient norm is not finite, or an
@@ -366,15 +366,17 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         val_encodings = [segmenter.encode(sent.words) for sent in val_corpus]
         val_tags = [tag for sent in val_corpus for tag in sent.tags]
 
-    state = nn.RmspropState(model.params, learning_rate=config.learning_rate,
+    # the table rows a step can change; the lookup checks their range
+    used = np.unique([i for enc, _ in train_rows for i in enc.ids])
+    embed = model.params["embed"]
+    work = replace(model, params={**model.params,
+                                  "embed": nn.embedding_forward(used, embed)})
+    state = nn.RmspropState(work.params, learning_rate=config.learning_rate,
                             rho=config.rho, epsilon=config.epsilon)
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     best_f1 = -1.0
-    best_params = None   # every parameter but the embedding, at the best epoch
-    embed = model.params["embed"]
-    undo = []            # (rows, values): embedding rows at the best epoch
-    saved = None         # the sorted rows `undo` holds
+    best_params = None
     stale = 0
     n = len(train_rows)
     max_loss = DIVERGED_LOSS_FACTOR * math.log(len(model.labels))
@@ -391,23 +393,19 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
                 history.truncated_rows += batch.truncated_rows
             if batch.ids.size == 0:
                 continue
-            logits, cache = forward(model, batch.ids, batch.lengths)
+            logits, cache = forward(work, np.searchsorted(used, batch.ids),
+                                    batch.lengths)
             loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch + 1}: batch loss is {loss}")
             nll_total += loss * batch.ids.size
             positions += batch.ids.size
-            grads = backward(model, cache, dlogits)
+            grads = backward(work, cache, dlogits)
             norm = _clip_grads(grads, config.grad_clip)
             if not np.isfinite(norm):
                 raise NonFiniteLoss(
                     f"epoch {epoch + 1}: gradient norm is {norm}")
-            if best_params is not None:
-                rows = np.setdiff1d(grads["embed"].rows, saved,
-                                    assume_unique=True)
-                saved = np.union1d(saved, rows)
-                undo.append((rows, embed[rows]))
-            nn.rmsprop_step(model.params, grads, state)
+            nn.rmsprop_step(work.params, grads, state)
         if positions == 0:
             raise EmptySplit(f"no training subtoken fits max_len = {config.max_len}")
         mean_loss = nll_total / positions
@@ -419,12 +417,11 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         history.train_loss.append(mean_loss)
         f1 = None
         if val_encodings is not None:
+            embed[used] = work.params["embed"]
             f1 = _val_macro_f1(model, val_encodings, val_tags, config.strategy)
             if f1 > best_f1:
                 best_f1 = f1
-                best_params = {k: v.copy() for k, v in model.params.items()
-                               if k != "embed"}
-                undo, saved = [], np.empty(0, dtype=np.int64)
+                best_params = {k: v.copy() for k, v in work.params.items()}
                 history.best_epoch = epoch + 1
                 stale = 0
             else:
@@ -433,10 +430,9 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
         history.seconds.append(time.perf_counter() - t0)
         if stale >= config.patience:  # only a validation split goes stale
             break
-    if best_params is not None:
-        for rows, values in undo:
-            embed[rows] = values
-        model.params.update(best_params)
+    params = work.params if best_params is None else best_params
+    embed[used] = params["embed"]
+    model.params.update(params, embed=embed)
     return model, history
 
 

@@ -608,6 +608,25 @@ def test_train_nothing_fits_max_len_exit_3(tmp_path, capsys):
     assert not (out / "run.ckpt").exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_train_out_blocked_by_a_file_exit_2_before_training(
+        synth_dir, tmp_path, capsys, monkeypatch, below):
+    # before, every epoch trained and only then did the write fail
+    from subner import taggers
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / below if below else blocker
+    monkeypatch.setattr(taggers, "train", None)  # a call would raise
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--out", str(out),
+    ])
+    assert code == 2
+    assert f"--out {out}: {blocker} is not a directory" in \
+        capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_train_validation_tag_outside_label_set_exit_2(synth_dir, tmp_path,
                                                        capsys):
     val = with_new_tag(synth_dir / "validation.conll", tmp_path / "val.conll")

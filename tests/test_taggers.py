@@ -386,6 +386,47 @@ def test_best_epoch_restore_equals_training_to_the_best_epoch(toy, arch):
             == fresh().params["embed"][untouched].tobytes())
 
 
+@pytest.mark.parametrize("arch", ["CNN", "BiLSTM"])
+def test_training_state_covers_the_training_split_rows_only(toy, arch,
+                                                          monkeypatch):
+    # RMSProp's state holds one embedding row per distinct training id: not
+    # the 200 rows no sentence uses, nor the rows of words that only the
+    # validation split holds. After the best epoch is restored, every row
+    # outside the training ids keeps the bytes build_model gave it.
+    corpus, labels, vocab, _ = toy
+    vocab = Vocab(vocab.token_of + tuple(f"unused{i}" for i in range(200)))
+    seg = VocabSegmenter(vocab, "word")
+    train_split = LabeledCorpus(corpus.sentences[:6], "train")
+    val_split = LabeledCorpus(corpus.sentences[6:], "validation")
+    used = {i for sent in train_split for i in seg.encode(sent.words).ids}
+    val_only = {i for sent in val_split
+                for i in seg.encode(sent.words).ids} - used
+    assert len(val_only) >= 10
+    state_rows = set()
+    rmsprop_step = nn.rmsprop_step
+
+    def recording_step(params, grads, state):
+        state_rows.add(state.s["embed"].shape[0])
+        rmsprop_step(params, grads, state)
+
+    monkeypatch.setattr(nn, "rmsprop_step", recording_step)
+    config = TrainConfig(epochs=8, batch_size=3, max_len=16, seed=2,
+                         patience=8, learning_rate=0.03)
+    initial = build_model(arch, small_hyper(len(labels)), vocab, labels, 2,
+                          tokenizer_mode="word")
+    trained, history = train(
+        build_model(arch, small_hyper(len(labels)), vocab, labels, 2,
+                    tokenizer_mode="word"),
+        train_split, val_split, seg, config)
+    assert state_rows == {len(used)}
+    assert history.best_epoch < len(history.train_loss)  # a restore ran
+    untouched = sorted(set(range(len(vocab))) - used)
+    assert (trained.params["embed"][untouched].tobytes()
+            == initial.params["embed"][untouched].tobytes())
+    assert (trained.params["embed"][sorted(used)]
+            != initial.params["embed"][sorted(used)]).any(axis=1).all()
+
+
 # words outside the TOY vocab all map to [UNK], so ids repeat within rows
 REPEATS = TOY + "\n" + "\n".join([
     "zz\tO\nraj\tB-NEP\nzz\tO\nraj\tB-NEP\n",
@@ -458,12 +499,15 @@ def test_train_matches_dense_reference(toy, arch, monkeypatch):
         runs.append(build_model(arch, small_hyper(len(labels)), vocab, labels,
                                 9, tokenizer_mode="word"))
     # RMSProp divides out most of a gradient's last bits, so the gradients
-    # each step receives are compared as well as the trained parameters
+    # each step receives are compared as well as the trained parameters;
+    # `train` steps on the table rows of the training split's sorted ids
+    used = np.unique([i for sent in repeats for i in seg.encode(sent.words).ids])
     steps = []
     rmsprop_step = nn.rmsprop_step
 
     def recording_step(params, grads, state):
-        steps.append({name: nn.embedding_backward(g.rows, g.values, len(vocab))
+        steps.append({name: nn.embedding_backward(used[g.rows], g.values,
+                                                  len(vocab))
                       if isinstance(g, nn.RowGrad) else g.copy()
                       for name, g in grads.items()})
         rmsprop_step(params, grads, state)
