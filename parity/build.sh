@@ -11,6 +11,9 @@ if [ $# -ne 1 ]; then
     exit 2
 fi
 export LC_ALL=C
+# one BLAS thread, as bench/run.py sets: with more, a BLAS may split a matrix
+# product's sums by the host's core count and change their last bits
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=$1
 subner() {

@@ -51,7 +51,7 @@ def _configs_from_kv(kv, num_labels, seed_override=None):
                              {k: v for k, v in kv.items() if k in hyper_keys})
     config = dataclass_kwargs(taggers_mod.TrainConfig,
                               {k: v for k, v in kv.items() if k not in hyper_keys},
-                              {"strategy": ClubbingStrategy.parse, "grad_clip": float})
+                              {"strategy": ClubbingStrategy.parse})
     if seed_override is not None:
         config["seed"] = seed_override
     try:

@@ -40,11 +40,19 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def softmax(logits):
-    """Row-wise softmax with max-subtraction for stability."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+# At a 119,547 x 300 table (2-core x86 VM), building a CNN tagger peaked at
+# 451 MB drawn whole, 177 MB in blocks of 8 to 1,024 rows and 181 MB at 4,096.
+DRAW_BLOCK_ROWS = 64
+
+
+def uniform(rng, bound, shape, dtype=np.float64):
+    """`rng.uniform(-bound, bound, size=shape)` rounded to `dtype`, drawn
+    DRAW_BLOCK_ROWS rows at a time: no float64 copy of the whole tensor."""
+    out = np.empty(shape, dtype=dtype)
+    for start in range(0, shape[0], DRAW_BLOCK_ROWS):
+        block = out[start:start + DRAW_BLOCK_ROWS]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +174,13 @@ def conv1d_backward(cache, dy):
 # LSTM / BiLSTM
 
 
-def init_lstm_params(rng, d, h):
+def init_lstm_params(rng, d, h, dtype=np.float64):
     """Uniform(-1/sqrt(h), 1/sqrt(h)) weights; forget-gate bias 1, others 0.
     Gate order along the 4h axis: input, forget, candidate, output."""
     scale = 1.0 / np.sqrt(h)
-    W = rng.uniform(-scale, scale, size=(d, 4 * h))
-    U = rng.uniform(-scale, scale, size=(h, 4 * h))
-    b = np.zeros(4 * h)
+    W = uniform(rng, scale, (d, 4 * h), dtype)
+    U = uniform(rng, scale, (h, 4 * h), dtype)
+    b = np.zeros(4 * h, dtype=dtype)
     b[h:2 * h] = 1.0
     return W, U, b
 
@@ -359,23 +367,27 @@ def masked_softmax_ce(logits, targets):
 # RMSProp
 
 
+# RMSProp's mean-square decay rate and the term that keeps its denominator
+# above zero; no run varies them
+RHO = 0.9
+EPSILON = 1e-8
+
+
 class RmspropState:
     """Per-parameter running mean-square accumulators, zero at the start."""
 
-    def __init__(self, params, learning_rate=1e-3, rho=0.9, epsilon=1e-8):
+    def __init__(self, params, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.rho = rho
-        self.epsilon = epsilon
         self.s = {name: np.zeros(p.shape, dtype=p.dtype)
                   for name, p in params.items()}
 
 
 def rmsprop_step(params, grads, state: RmspropState):
-    """s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s)+eps), elementwise.
+    """s <- RHO*s + (1-RHO)*g^2; p <- p - lr*g/(sqrt(s)+EPSILON), elementwise.
 
     A `RowGrad` updates its rows only, after decaying all of `s`: exactly
-    the dense step with a zero gradient elsewhere, where (1-rho)*0*0 leaves
-    s and lr*0/(sqrt(s)+eps) leaves p as they are. The decay is one
+    the dense step with a zero gradient elsewhere, where (1-RHO)*0*0 leaves
+    s and lr*0/(sqrt(s)+EPSILON) leaves p as they are. The decay is one
     multiply over the table, so `taggers.train` passes the rows it uses."""
     for name, g in grads.items():
         p = params[name]
@@ -387,14 +399,14 @@ def rmsprop_step(params, grads, state: RmspropState):
         elif g.shape != p.shape:
             raise ShapeMismatch(f"grad/param shape mismatch for {name!r}")
         s = state.s[name]
-        s *= state.rho
+        s *= RHO
         if rows is None:
-            s += (1.0 - state.rho) * g * g
-            p -= state.learning_rate * g / (np.sqrt(s) + state.epsilon)
+            s += (1.0 - RHO) * g * g
+            p -= state.learning_rate * g / (np.sqrt(s) + EPSILON)
         else:
-            s_rows = s[rows] + (1.0 - state.rho) * g * g
+            s_rows = s[rows] + (1.0 - RHO) * g * g
             s[rows] = s_rows
-            p[rows] -= state.learning_rate * g / (np.sqrt(s_rows) + state.epsilon)
+            p[rows] -= state.learning_rate * g / (np.sqrt(s_rows) + EPSILON)
 
 
 # ---------------------------------------------------------------------------

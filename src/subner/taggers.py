@@ -66,25 +66,19 @@ class TrainConfig:
     batch_size: int = 16
     max_len: int = 128
     learning_rate: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-8
     seed: int = 0
     patience: int = 3
     strategy: ClubbingStrategy = ClubbingStrategy.FIRST
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
             raise InvalidHyper("epochs, batch_size, max_len must be positive")
-        if not (0 < self.learning_rate < math.inf and 0 < self.rho < 1
-                and 0 < self.epsilon < math.inf):
+        if not 0 < self.learning_rate < math.inf:
             raise InvalidHyper("bad optimizer settings")
         if self.patience < 1:
             raise InvalidHyper("patience must be >= 1")
         if self.seed < 0:
             raise InvalidHyper(f"seed must be non-negative, got {self.seed}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise InvalidHyper("grad_clip must be positive")
 
 
 @dataclass
@@ -136,7 +130,8 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
     each LSTM direction is `nn.init_lstm_params` (W, then U, each
     U(-1/sqrt(h), 1/sqrt(h)); forget-gate bias 1); other biases 0. Each
     tensor is drawn in float64 and stored in float32, the dtype every layer
-    computes in and checkpoints store.
+    computes in and checkpoints store, a block of rows at a time
+    (`nn.uniform`): no tensor is ever held in float64 whole.
     """
     if arch not in ARCHS:
         raise InvalidHyper(f"unknown architecture {arch!r}")
@@ -165,14 +160,13 @@ def build_model(arch: str, hyper: Hyperparams, vocab: Vocab | None,
         if name.startswith("lstm"):
             direction = name.removesuffix("_W")
             d, four_h = shape
-            W, U, b = nn.init_lstm_params(rng, d, four_h // 4)
+            W, U, b = nn.init_lstm_params(rng, d, four_h // 4, np.float32)
             params.update({f"{direction}_W": W, f"{direction}_U": U,
                            f"{direction}_b": b})
         elif name.endswith("_b"):
-            params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
-            params[name] = rng.uniform(-0.05, 0.05, size=shape)
-    params = {name: p.astype(np.float32) for name, p in params.items()}
+            params[name] = nn.uniform(rng, 0.05, shape, np.float32)
     return TaggerModel(arch, hyper, labels, vocab, tokenizer_mode, params)
 
 
@@ -296,19 +290,12 @@ def predict_sentence(model: TaggerModel, words, segmenter,
     return list(zip(words, word_tags))
 
 
-def _clip_grads(grads, max_norm) -> float:
-    """Returns the global norm of the gradients and, when `max_norm` is
-    given, scales every gradient in place so that the norm is at most
-    `max_norm`. A row gradient's rows are all of its table's nonzero
-    entries."""
+def _grad_norm(grads) -> float:
+    """The global norm of the gradients. A row gradient's rows are all of
+    its table's nonzero entries."""
     arrays = [g.values if isinstance(g, nn.RowGrad) else g
               for g in grads.values()]
-    total = math.sqrt(sum(float(np.vdot(g, g)) for g in arrays))
-    if max_norm is not None and total > max_norm:
-        scale = max_norm / total
-        for g in arrays:
-            g *= scale
-    return total
+    return math.sqrt(sum(float(np.vdot(g, g)) for g in arrays))
 
 
 def _val_macro_f1(model, val_encodings, val_tags, strategy):
@@ -371,8 +358,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     embed = model.params["embed"]
     work = replace(model, params={**model.params,
                                   "embed": nn.embedding_forward(used, embed)})
-    state = nn.RmspropState(work.params, learning_rate=config.learning_rate,
-                            rho=config.rho, epsilon=config.epsilon)
+    state = nn.RmspropState(work.params, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     best_f1 = -1.0
@@ -401,7 +387,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
             nll_total += loss * batch.ids.size
             positions += batch.ids.size
             grads = backward(work, cache, dlogits)
-            norm = _clip_grads(grads, config.grad_clip)
+            norm = _grad_norm(grads)
             if not np.isfinite(norm):
                 raise NonFiniteLoss(
                     f"epoch {epoch + 1}: gradient norm is {norm}")

@@ -54,12 +54,9 @@ EDGE_VALUES = {
     "batch_size": ["1", "1000"],
     "max_len": ["1", "2", "1000"],
     "learning_rate": ["1e-300", "10", "1e6", "1e300"],
-    "rho": ["1e-12", "0.999999"],
-    "epsilon": ["5e-324", "1e300"],
     "seed": ["0", "4294967296", "9223372036854775807"],
     "patience": ["1"],
     "strategy": ["first", "majority", "MAJORITY"],
-    "grad_clip": ["5e-324", "1e-300", "1e300"],
     "embed_dim": ["1", "2"],
     "conv_filters": ["1"],
     "conv_kernel": ["1", "15"],
