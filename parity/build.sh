@@ -1,8 +1,10 @@
 #!/bin/sh
 # Builds the parity grid (README, "Parity grid") in <out>, which must not
 # exist yet, and prints the sha256sum listing of its checkpoints, histories,
-# reports and eval TSVs, each group in C-locale order. The commands' own
-# output goes to stderr, so stdout is the listing alone.
+# reports and eval TSVs, each group in C-locale order, then one line per
+# checkpoint with the sha256 of its tensors alone, as load_checkpoint reads
+# them, in name order: the checkpoint's bytes between header and checksum.
+# The commands' own output goes to stderr, so stdout is the listing alone.
 #
 #   parity/build.sh <out> > listing.sha256
 set -eu
@@ -29,3 +31,13 @@ for ckpt in "$out"/grid/*.ckpt; do
 done
 cd "$out/grid"
 sha256sum *.ckpt *.history.txt report.* *.eval.tsv
+PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import hashlib, sys
+from subner.taggers import load_checkpoint
+for path in sys.argv[1:]:
+    params = load_checkpoint(path).params
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(params[name].astype("<f4", copy=False))
+    print(f"{digest.hexdigest()}  {path}:tensors")
+' *.ckpt

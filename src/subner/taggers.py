@@ -53,7 +53,7 @@ class Hyperparams:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # a bool is no size
                 raise InvalidHyper(f"{name} must be a positive integer, "
                                    f"got {value!r}")
         if self.conv_kernel % 2 == 0:
@@ -425,8 +425,11 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
 # ---------------------------------------------------------------------------
 # Checkpoint persistence
 #
-# Layout: magic, u32 version, u32 header length, JSON header, named tensors
-# as little-endian float32 in header order, 8-byte truncated sha256 checksum.
+# Layout: magic, u32 version, u32 header length, JSON header (sorted keys),
+# the `param_shapes` tensors as little-endian float32 in name order, 8-byte
+# truncated sha256 checksum. The header's arch, hyper and vocab_size give
+# the tensors; the file's exact length ties them to it. A save streams the
+# parameters themselves to the file, never copying them into one buffer.
 
 
 def save_checkpoint(model: TaggerModel, path):
@@ -438,30 +441,30 @@ def save_checkpoint(model: TaggerModel, path):
         "vocab_size": model.vocab_size,
         "vocab_fingerprint": model.vocab_fingerprint(),
         "vocab_tokens": list(model.vocab.token_of) if model.vocab else None,
-        "tensors": [[name, list(model.params[name].shape)]
-                    for name in sorted(model.params)],
     }
     header_bytes = json.dumps(header, ensure_ascii=False,
                               sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
-    blob += header_bytes
-    for name in sorted(model.params):
-        blob += model.params[name].astype("<f4", copy=False).tobytes()
-    blob += hashlib.sha256(blob).digest()[:8]
-    atomic_write_bytes(path, blob)
+    parts = [CHECKPOINT_MAGIC,
+             struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
+             header_bytes]
+    parts += [np.ascontiguousarray(model.params[name], dtype="<f4")
+              for name in sorted(model.params)]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    atomic_write_bytes(path, *parts, digest.digest()[:8])
 
 
-HEADER_KEYS = ("arch", "hyper", "labels", "tensors", "tokenizer_mode",
+# The loader ignores any other key, such as the "tensors" list that older
+# checkpoints carry.
+HEADER_KEYS = ("arch", "hyper", "labels", "tokenizer_mode",
                "vocab_fingerprint", "vocab_size", "vocab_tokens")
 
 
 def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
-    """Hyperparameters, labels and tensor shapes of a checkpoint header;
-    raises CorruptCheckpoint unless every key is present, the sizes agree,
-    the tokenizer mode fits the vocab and the tensor list is exactly the one
-    the architecture needs."""
+    """Hyperparameters, labels and tensor shapes (`param_shapes`) of a
+    checkpoint header; raises CorruptCheckpoint unless every key is present,
+    the sizes agree and the tokenizer mode fits the vocab."""
     if not isinstance(header, dict):
         raise CorruptCheckpoint("header is not a JSON object")
     missing = [key for key in HEADER_KEYS if key not in header]
@@ -478,7 +481,7 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
         raise CorruptCheckpoint("bad header: a label is not a string")
     vocab_size = header["vocab_size"]
     tokens = header["vocab_tokens"]
-    if (not isinstance(vocab_size, int) or vocab_size < 1
+    if (type(vocab_size) is not int or vocab_size < 1
             or (tokens is not None and (not isinstance(tokens, list)
                                         or len(tokens) != vocab_size))
             or hyper.num_labels != len(labels)):
@@ -487,14 +490,7 @@ def _check_header(header) -> tuple[Hyperparams, LabelSet, dict]:
         raise CorruptCheckpoint(
             f"tokenizer mode {header['tokenizer_mode']!r} cannot segment "
             f"with a vocab")
-    shapes = param_shapes(header["arch"], hyper, vocab_size)
-    if header["tensors"] != [[name, list(shape)]
-                             for name, shape in sorted(shapes.items())]:
-        raise CorruptCheckpoint(
-            f"tensor names or shapes do not fit a {header['arch']} with "
-            f"these hyperparameters"
-        )
-    return hyper, labels, shapes
+    return hyper, labels, param_shapes(header["arch"], hyper, vocab_size)
 
 
 def _vocab_from_header(header) -> Vocab | None:
@@ -508,9 +504,9 @@ def _vocab_from_header(header) -> Vocab | None:
         raise CorruptCheckpoint(f"bad header vocab: {exc}") from exc
 
 
-# A load hashes the file, then reads each tensor this many float32 values
-# at a time: it never holds the file's bytes next to the tensors (36 MB for
-# a 30k x 300 embedding).
+# A load hashes the file 4 * LOAD_CHUNK bytes at a time, reads each tensor
+# into its array, then checks it for nan and inf this many values at a time:
+# it never holds the file's bytes, or a mask of a tensor, next to the tensors.
 LOAD_CHUNK = 1 << 18
 
 
@@ -547,13 +543,12 @@ def load_checkpoint(path) -> TaggerModel:
             count = math.prod(shape)
             if offset + 4 * count > total - 8:
                 raise CorruptCheckpoint(f"tensor {name!r} truncated")
-            flat = np.empty(count, dtype=np.float32)
+            flat = np.empty(count, dtype="<f4")
+            if fh.readinto(flat) != 4 * count:
+                raise CorruptCheckpoint(f"tensor {name!r} truncated")
             for start in range(0, count, LOAD_CHUNK):
-                part = np.frombuffer(fh.read(4 * min(LOAD_CHUNK, count - start)),
-                                     dtype="<f4")
-                if not np.isfinite(part).all():
+                if not np.isfinite(flat[start:start + LOAD_CHUNK]).all():
                     raise CorruptCheckpoint(f"tensor {name!r} holds nan or inf")
-                flat[start:start + part.size] = part
             params[name] = flat.reshape(shape)
             offset += 4 * count
     if offset != total - 8:

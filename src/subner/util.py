@@ -60,17 +60,18 @@ def atomic_write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_bytes(path, data):
-    """Replace `path` with `data` so that a reader sees the old file or the
-    whole new one, also after a crash: the bytes go to a temp file of its
-    own in the same directory, reach the disk, then are renamed over `path`.
-    """
+def atomic_write_bytes(path, *chunks):
+    """Replace `path` with the bytes-like `chunks`, in order, so that a reader
+    sees the old file or the whole new one, also after a crash: the bytes go
+    to a temp file of its own in the same directory, reach the disk, then
+    are renamed over `path`."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

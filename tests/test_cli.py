@@ -203,13 +203,35 @@ def test_eval_header_missing_key_exit_4(trained, synth_dir, tmp_path, capsys):
     out, _ = trained
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes((out / "cnn.ckpt").read_bytes())
-    resign_header(bad, lambda header: header.pop("tensors"))
+    resign_header(bad, lambda header: header.pop("arch"))
     code = main([
         "eval", "--checkpoint", str(bad),
         "--test", str(synth_dir / "test.conll"),
     ])
     assert code == 4
-    assert "tensors" in capsys.readouterr().err
+    assert "header lacks arch" in capsys.readouterr().err
+
+
+def test_eval_boolean_header_size_exit_4(synth_dir, tmp_path, capsys):
+    # true == 1 in Python, so a size of 1 written as true gives the same
+    # tensor shapes and file length; only its type tells it apart
+    from test_taggers import resign_header
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nembed_dim = 1\nconv_filters = 4\n",
+                   encoding="utf-8")
+    assert main([
+        "train", "--train", str(synth_dir / "train.conll"), "--arch", "CNN",
+        "--tokenizer", "word", "--config", str(cfg), "--out", str(tmp_path),
+        "--run-name", "cnn",
+    ]) == 0
+    ckpt = tmp_path / "cnn.ckpt"
+    resign_header(ckpt, lambda header: header["hyper"].update(embed_dim=True))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--test", str(synth_dir / "test.conll")])
+    assert code == 4
+    assert "embed_dim must be a positive integer" in capsys.readouterr().err
 
 
 def test_predict(trained, tmp_path, capsys):

@@ -1,13 +1,17 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
+import os
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subner import metrics, nn, taggers
+from subner import metrics, nn, taggers, util
 from subner.alignment import ClubbingStrategy, make_padded_batch, propagate_labels
 from subner.corpus import (
     LabeledCorpus,
@@ -763,9 +767,6 @@ HEADER_EDITS = {
     "other_arch": lambda header: header.update(
         arch=next(a for a in ARCHS if a != header["arch"])),
     "embed_dim": lambda header: header["hyper"].update(embed_dim=17),
-    "tensor_name": lambda header: header["tensors"][0].__setitem__(0, "x"),
-    "tensor_shape": lambda header: header["tensors"][0][1].append(1),
-    "tensor_dropped": lambda header: header["tensors"].pop(),
     "vocab_size": lambda header: header.update(
         vocab_size=header["vocab_size"] + 1),
     "label_dropped": lambda header: header["labels"].pop(),
@@ -774,6 +775,10 @@ HEADER_EDITS = {
         header["vocab_tokens"].index("[UNK]"), "[NONE]"),
     "hyper_float": lambda header: header["hyper"].update(
         embed_dim=float(header["hyper"]["embed_dim"])),
+    # a size the architecture does not use, so only its type is wrong
+    "hyper_bool": lambda header: header["hyper"].__setitem__(
+        "bilstm_hidden" if header["arch"] == "LSTM" else "lstm_hidden", True),
+    "vocab_size_bool": lambda header: header.update(vocab_size=True),
     "tokenizer_mode": lambda header: header.update(tokenizer_mode="bpe"),
     "label_not_a_string": lambda header: header["labels"].__setitem__(1, 5),
     "vocab_token_not_a_string": lambda header: header["vocab_tokens"].__setitem__(
@@ -797,9 +802,10 @@ def test_checkpoint_header_disagrees_with_arch(tmp_path, toy, edit):
 
 def test_checkpoint_with_pad_header_keys_loads(tmp_path, toy):
     # checkpoints written while the format reserved a pad row also carry
-    # "pad_id" and "pad_token", and those written while every vocab recorded
-    # its special tokens carry "unk_token" and "continuation_prefix"; the
-    # loader ignores all four
+    # "pad_id" and "pad_token", those written while every vocab recorded its
+    # special tokens carry "unk_token" and "continuation_prefix", and those
+    # written while the header listed the tensors carry "tensors"; the
+    # loader ignores all five
     corpus, labels, vocab, seg = toy
     encodings = [seg.encode(sent.words) for sent in corpus]
     for arch in ARCHS:
@@ -809,7 +815,9 @@ def test_checkpoint_with_pad_header_keys_loads(tmp_path, toy):
         save_checkpoint(model, path)
         resign_header(path, lambda header: header.update(
             pad_id=vocab.id_of["[PAD]"], pad_token="[PAD]",
-            unk_token="[UNK]", continuation_prefix="##"))
+            unk_token="[UNK]", continuation_prefix="##",
+            tensors=[[name, list(model.params[name].shape)]
+                     for name in sorted(model.params)]))
         loaded = load_checkpoint(path)
         assert loaded.params.keys() == model.params.keys()
         for name in model.params:
@@ -864,7 +872,8 @@ def test_checkpoint_fuzz_raises_only_subner_errors(tmp_path, toy):
 
 
 def test_checkpoint_round_trip_in_chunks(tmp_path, toy, monkeypatch):
-    # tensors are read a few values at a time, across chunk boundaries
+    # tensors are checked for nan and inf a few values at a time, across
+    # chunk boundaries
     _, labels, vocab, _ = toy
     monkeypatch.setattr(taggers, "LOAD_CHUNK", 5)
     for arch in ARCHS:
@@ -898,3 +907,91 @@ def test_checkpoint_rejects_poisoned_tensors_and_vocab(tmp_path, toy, poison,
                        match="nan or inf" if poison in ("nan", "inf")
                        else "fingerprint"):
         load_checkpoint(path)
+
+
+def reference_checkpoint_bytes(model):
+    """The checkpoint format spelled out: magic, u32 version and header
+    length, the sorted-key JSON header, each tensor's little-endian float32
+    bytes in name order, then the first 8 bytes of the sha256 of it all."""
+    vocab = model.vocab
+    header = {
+        "arch": model.arch,
+        "hyper": dataclasses.asdict(model.hyper),
+        "labels": list(model.labels.labels),
+        "tokenizer_mode": model.tokenizer_mode,
+        "vocab_fingerprint": (
+            f"external:{model.vocab_size}" if vocab is None else hashlib.sha256(
+                "\n".join(vocab.token_of).encode("utf-8")).hexdigest()),
+        "vocab_size": model.vocab_size,
+        "vocab_tokens": None if vocab is None else list(vocab.token_of),
+    }
+    header_bytes = json.dumps(header, ensure_ascii=False,
+                              sort_keys=True).encode("utf-8")
+    body = (b"SUBNER\x00\x01" + struct.pack("<II", 1, len(header_bytes))
+            + header_bytes + b"".join(model.params[name].astype("<f4").tobytes()
+                                      for name in sorted(model.params)))
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("kind", ["vocab", "external"])
+def test_checkpoint_bytes_equal_the_reference_serializer(tmp_path, toy, arch,
+                                                         kind):
+    _, labels, vocab, _ = toy
+    if kind == "vocab":  # a non-ASCII token is written as UTF-8, unescaped
+        model = build_model(arch, small_hyper(len(labels)),
+                            Vocab(vocab.token_of + ("पुणे",)), labels, 6,
+                            tokenizer_mode="word")
+    else:
+        model = build_model(arch, small_hyper(len(labels)), None, labels, 6,
+                            tokenizer_mode="external", vocab_size=23)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert path.read_bytes() == reference_checkpoint_bytes(model)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, toy,
+                                                   monkeypatch):
+    # the disk fills once the header is written, at the first tensor
+    _, labels, vocab, _ = toy
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model("CNN", small_hyper(len(labels)), vocab,
+                                labels, 0, tokenizer_mode="word"), path)
+    old = path.read_bytes()
+    header_end = len(CHECKPOINT_MAGIC) + 8 + struct.unpack_from(
+        "<I", old, len(CHECKPOINT_MAGIC) + 4)[0]
+    written = []
+
+    class FillingFile(io.BufferedWriter):
+        def write(self, data):
+            if self.tell() >= header_end:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(super().write(data))
+            return written[-1]
+
+    monkeypatch.setattr(util, "open", raising=False,
+                        value=lambda file, mode: FillingFile(io.FileIO(file, mode)))
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(build_model("CNN", small_hyper(len(labels)), vocab,
+                                    labels, 1, tokenizer_mode="word"), path)
+    assert sum(written) == header_end
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_save_checkpoint_holds_no_copy_of_the_tensors(tmp_path, toy):
+    # traced allocations, unlike resident memory, repeat exactly; a save that
+    # assembled the file in one buffer peaked at twice the tensors' bytes
+    _, labels, _, _ = toy
+    model = build_model("CNN", small_hyper(len(labels), embed_dim=64), None,
+                        labels, 0, tokenizer_mode="external",
+                        vocab_size=20_000)
+    tensor_bytes = sum(p.nbytes for p in model.params.values())
+    assert tensor_bytes >= 5_000_000
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes / 4
