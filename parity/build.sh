@@ -1,7 +1,8 @@
 #!/bin/sh
 # Builds the parity grid (README, "Parity grid") in <out>, which must not
-# exist yet, and prints the sha256sum listing of its checkpoints, histories,
-# reports and eval TSVs, each group in C-locale order, then one line per
+# exist yet, and prints the sha256sum listing of its synthetic corpus and
+# vocab (data/), then of its checkpoints, histories, reports and eval TSVs,
+# each group in C-locale order, then one line per
 # checkpoint with the sha256 of its tensors alone, as load_checkpoint reads
 # them, in name order: the checkpoint's bytes between header and checksum.
 # The commands' own output goes to stderr, so stdout is the listing alone.
@@ -29,7 +30,9 @@ for ckpt in "$out"/grid/*.ckpt; do
     subner eval --checkpoint "$ckpt" --test "$out/data/test.conll" \
         --span-scheme flat --out "${ckpt%.ckpt}.eval.tsv"
 done
-cd "$out/grid"
+cd "$out"
+sha256sum data/*.conll data/vocab.txt
+cd grid
 sha256sum *.ckpt *.history.txt report.* *.eval.tsv
 PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
 import hashlib, sys

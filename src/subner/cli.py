@@ -152,8 +152,8 @@ def cmd_synth(args):
         seed = args.seed
     if seed is None:
         seed = 0
-    os.makedirs(args.out, exist_ok=True)
     splits = corpus_mod.generate_synthetic(cfg, seed)
+    os.makedirs(args.out, exist_ok=True)
     for name, split in splits.items():
         path = os.path.join(args.out, f"{name}.conll")
         atomic_write_text(path, corpus_mod.write_conll(split))

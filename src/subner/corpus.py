@@ -206,61 +206,52 @@ class SynthConfig:
 _LETTERS = "abdeghiklmnorstuz"
 
 
-def _random_word(rng, length, forbidden_suffixes, taken):
-    while True:
-        w = "".join(rng.choice(_LETTERS) for _ in range(length))
-        if w in taken:
-            continue
-        if any(w.endswith(s) for s in forbidden_suffixes):
-            continue
-        return w
+def _synth_rng(seed: int) -> random.Random:
+    # random.Random seeds from abs(seed), so -n would silently reuse n's corpus
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
+
+
+def _free_words(length, suffixes):
+    """Words of `length` letters that end in none of `suffixes`.
+
+    Exact because no suffix ends another (SynthConfig checks), so the words
+    ending in each suffix are disjoint sets.
+    """
+    return len(_LETTERS) ** length - sum(
+        len(_LETTERS) ** (length - len(s)) for s in suffixes
+        if len(s) <= length and set(s) <= set(_LETTERS))
 
 
 def _build_pools(cfg: SynthConfig, rng: random.Random):
     """Deterministic stem/filler pools. Held-out stems never occur in train."""
-    all_suffixes = [s for cls in cfg.classes for s in cfg.suffixes[cls]]
+    suffixes = tuple(s for cls in cfg.classes for s in cfg.suffixes[cls])
     taken = set()
+    left = {}  # length -> free words of that length not yet taken
+
+    def draw(len_min, len_max):
+        length = rng.randint(len_min, len_max)
+        if length not in left:
+            left[length] = _free_words(length, suffixes)
+        if not left[length]:
+            raise InvalidConfig(
+                f"every {length}-letter word is taken: the pools need more "
+                f"stems or fillers of that length than exist")
+        left[length] -= 1
+        while True:
+            word = "".join(rng.choice(_LETTERS) for _ in range(length))
+            if word not in taken and not word.endswith(suffixes):
+                taken.add(word)
+                return word
+
     train_stems, heldout_stems = {}, {}
     for cls in cfg.classes:
-        pools = []
-        for _ in range(2):
-            stems = []
-            for _ in range(cfg.stems_per_class):
-                length = rng.randint(cfg.stem_len_min, cfg.stem_len_max)
-                stem = _random_word(rng, length, all_suffixes, taken)
-                taken.add(stem)
-                stems.append(stem)
-            pools.append(tuple(stems))
-        train_stems[cls], heldout_stems[cls] = pools
-    fillers = []
-    for _ in range(cfg.n_fillers):
-        length = rng.randint(3, 6)
-        filler = _random_word(rng, length, all_suffixes, taken)
-        taken.add(filler)
-        fillers.append(filler)
-    return train_stems, heldout_stems, tuple(fillers)
-
-
-def _synth_sentences(cfg, rng, n, train_stems, heldout_stems, fillers, oov_rate):
-    sentences = []
-    for _ in range(n):
-        length = rng.randint(cfg.len_min, cfg.len_max)
-        words, tags = [], []
-        for _ in range(length):
-            if rng.random() < cfg.entity_rate:
-                cls = rng.choice(cfg.classes)
-                if oov_rate > 0.0 and rng.random() < oov_rate:
-                    stem = rng.choice(heldout_stems[cls])
-                else:
-                    stem = rng.choice(train_stems[cls])
-                suffix = rng.choice(cfg.suffixes[cls])
-                words.append(stem + suffix)
-                tags.append(f"B-{cls}")
-            else:
-                words.append(rng.choice(fillers))
-                tags.append(OUTSIDE)
-        sentences.append(LabeledSentence(tuple(words), tuple(tags)))
-    return tuple(sentences)
+        for pool in (train_stems, heldout_stems):
+            pool[cls] = tuple(draw(cfg.stem_len_min, cfg.stem_len_max)
+                              for _ in range(cfg.stems_per_class))
+    fillers = tuple(draw(3, 6) for _ in range(cfg.n_fillers))
+    return train_stems, heldout_stems, fillers
 
 
 def generate_synthetic(cfg: SynthConfig, seed: int) -> dict[str, LabeledCorpus]:
@@ -268,28 +259,36 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> dict[str, LabeledCorpus]:
 
     Entity words are stem+suffix where the suffix determines the class; the
     test split draws stems from a held-out pool at the configured OOV rate.
+
+    One generator, seeded by `seed` (non-negative), first fills the pools,
+    which depend only on the seed, `classes`, `suffixes`, `stems_per_class`,
+    the stem lengths and `n_fillers`. The same stream then draws train,
+    validation and test in that order, so changing `n_train` or
+    `n_validation` changes the test split too. Pools that need more words of
+    one length than exist raise InvalidConfig.
     """
-    rng = random.Random(seed)
+    rng = _synth_rng(seed)
     train_stems, heldout_stems, fillers = _build_pools(cfg, rng)
-    splits = {
-        "train": LabeledCorpus(
-            _synth_sentences(cfg, rng, cfg.n_train, train_stems, heldout_stems,
-                             fillers, 0.0),
-            "train",
-        )
-    }
-    if cfg.n_validation:
-        splits["validation"] = LabeledCorpus(
-            _synth_sentences(cfg, rng, cfg.n_validation, train_stems,
-                             heldout_stems, fillers, 0.0),
-            "validation",
-        )
-    if cfg.n_test:
-        splits["test"] = LabeledCorpus(
-            _synth_sentences(cfg, rng, cfg.n_test, train_stems, heldout_stems,
-                             fillers, cfg.oov_rate),
-            "test",
-        )
+    splits = {}
+    for name, size, oov_rate in (("train", cfg.n_train, 0.0),
+                                 ("validation", cfg.n_validation, 0.0),
+                                 ("test", cfg.n_test, cfg.oov_rate)):
+        sentences = []
+        for _ in range(size):
+            words, tags = [], []
+            for _ in range(rng.randint(cfg.len_min, cfg.len_max)):
+                if rng.random() < cfg.entity_rate:
+                    cls = rng.choice(cfg.classes)
+                    held_out = oov_rate > 0.0 and rng.random() < oov_rate
+                    stems = (heldout_stems if held_out else train_stems)[cls]
+                    words.append(rng.choice(stems) + rng.choice(cfg.suffixes[cls]))
+                    tags.append(f"B-{cls}")
+                else:
+                    words.append(rng.choice(fillers))
+                    tags.append(OUTSIDE)
+            sentences.append(LabeledSentence(tuple(words), tuple(tags)))
+        if sentences:
+            splits[name] = LabeledCorpus(tuple(sentences), name)
     return splits
 
 
@@ -303,8 +302,7 @@ def synthetic_vocab_tokens(cfg: SynthConfig, seed: int) -> list[str]:
     # imported here: tokenizers imports this module
     from .tokenizers import CONTINUATION_PREFIX, UNK_TOKEN
 
-    rng = random.Random(seed)
-    _, _, fillers = _build_pools(cfg, rng)
+    _, _, fillers = _build_pools(cfg, _synth_rng(seed))
     tokens = ["[PAD]", UNK_TOKEN]
     tokens.extend(sorted(_LETTERS))
     tokens.extend(CONTINUATION_PREFIX + c for c in sorted(_LETTERS))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -55,6 +56,62 @@ def synth_dir(tmp_path_factory):
 def test_synth_outputs(synth_dir):
     for name in ("train.conll", "test.conll", "validation.conll", "vocab.txt"):
         assert (synth_dir / name).exists()
+
+
+# what `synth --config parity/synth.cfg` writes: a change to the generator's
+# draw order shows here, where the determinism tests compare two runs of the
+# same code
+PARITY_DATA_SHA256 = {
+    "train.conll":
+        "60cbebb184f78b37af1f355127e29a25dac7133bcf513b9f0e400259efff8242",
+    "validation.conll":
+        "bc3f4b2435e91fe1979833058ca7fdf5569010e178a14efd5d9dd5b8c61dc64a",
+    "test.conll":
+        "0a079f679d5258db4909b105e54ea9db9e1c31a63975c4fd349fcb536a166eb6",
+    "vocab.txt":
+        "04f71a3107d10995068249b91cb038fdc41524bbcc7a3da11587a3f501f9f130",
+}
+
+
+def test_synth_parity_config_bytes_pinned(tmp_path):
+    cfg = SRC.parent / "parity" / "synth.cfg"
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for name, digest in PARITY_DATA_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_synth_negative_seed_exit_2(tmp_path, capsys, where):
+    cfg = tmp_path / "synth.cfg"
+    out = tmp_path / "data"
+    if where == "config":
+        cfg.write_text(with_setting(SYNTH_CONFIG, "seed = -3"), encoding="utf-8")
+        argv = []
+    else:
+        cfg.write_text(SYNTH_CONFIG, encoding="utf-8")
+        argv = ["--seed", "-3"]
+    code = main(["synth", "--config", str(cfg), "--out", str(out), *argv])
+    assert code == 2
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_full_word_pool_exit_2(tmp_path):
+    # the default 120 stems cannot come from 17 one-letter words; a subprocess
+    # with a timeout, so a generator that loops forever fails the test
+    (tmp_path / "synth.cfg").write_text("stem_len_min = 1\nstem_len_max = 1\n",
+                                        encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subner", "synth", "--config", "synth.cfg",
+         "--out", "data"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "every 1-letter word is taken" in proc.stderr
+    assert not (tmp_path / "data").exists()
 
 
 def test_stats_runs(synth_dir, capsys):

@@ -152,6 +152,30 @@ def test_synthetic_invalid_configs():
         SynthConfig(oov_rate=1.5)
 
 
+def synth_pool_config(stems_per_class):
+    # one class whose suffix "a" leaves 16 of the 17 one-letter words free
+    return SynthConfig(classes=("NEL",), suffixes={"NEL": ("a",)},
+                       stems_per_class=stems_per_class, stem_len_min=1,
+                       stem_len_max=1)
+
+
+def test_synthetic_pool_filled_exactly():
+    train, heldout, _ = _build_pools(synth_pool_config(8), random.Random(0))
+    assert sorted(train["NEL"] + heldout["NEL"]) == list("bdeghiklmnorstuz")
+
+
+def test_synthetic_pool_past_its_words_raises():
+    with pytest.raises(InvalidConfig, match="every 1-letter word is taken"):
+        generate_synthetic(synth_pool_config(9), 0)
+
+
+@pytest.mark.parametrize("make", [generate_synthetic, synthetic_vocab_tokens])
+def test_synthetic_negative_seed_raises(make):
+    # random.Random(-3) would silently give seed 3's corpus
+    with pytest.raises(InvalidConfig, match="seed must be non-negative, got -3"):
+        make(SynthConfig(), -3)
+
+
 def test_synthetic_vocab_matches_pools():
     cfg = SynthConfig(n_train=10, n_test=5)
     tokens = synthetic_vocab_tokens(cfg, 4)
