@@ -32,7 +32,7 @@ class LabeledSentence:
         if not self.words:
             raise ValueError("empty sentence")
         for w in self.words:
-            if not w or any(ch.isspace() for ch in w):
+            if w.split() != [w]:  # empty, or holds whitespace
                 raise ValueError(f"bad word {w!r}: empty or contains whitespace")
 
     def __len__(self):
@@ -103,7 +103,7 @@ def parse_conll(text: str, split_name: str = "unsplit") -> LabeledCorpus:
         if len(fields) != 2:
             raise MalformedLine(line_no)
         word, tag = fields
-        if not word or not tag or any(ch.isspace() for ch in word):
+        if not tag or word.split() != [word]:  # empty, or holds whitespace
             raise MalformedLine(line_no, f"bad word/tag pair {line!r}")
         words.append(word)
         tags.append(tag)

@@ -5,11 +5,13 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subner import nn
 from subner.alignment import ClubbingStrategy
 from subner.cli import build_parser, main
 from subner.taggers import Hyperparams, TrainConfig
@@ -758,6 +760,70 @@ def test_train_diverging_loss_exit_3(synth_dir, tmp_path, capsys):
     assert code == 3
     assert "epoch 1: mean train loss" in capsys.readouterr().err
     assert not (out / "big.ckpt").exists()
+
+
+def test_train_bilstm_worker_memory_error_exit_3(synth_dir, tmp_path, capsys,
+                                                 monkeypatch):
+    # the BiLSTM runs its backward direction on a worker thread, whose
+    # MemoryError must reach main's handler as a MemoryError
+    caller = threading.get_ident()
+    lstm_forward = nn.lstm_forward
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise MemoryError("worker direction")
+        return lstm_forward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "lstm_forward", failing_off_the_caller)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CONFIG, encoding="utf-8")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "BiLSTM", "--config", str(cfg), "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: out of memory: worker direction"
+    assert not out.exists()
+
+
+PAPER_CNN_CONFIG = """
+epochs = 2
+batch_size = 16
+max_len = 128
+seed = 5
+embed_dim = 300
+conv_filters = 512
+conv_kernel = 3
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: the host default is one BLAS thread, "
+                           "so the two runs cannot differ")
+def test_train_checkpoint_does_not_depend_on_blas_threads(synth_dir, tmp_path):
+    # a CNN at paper sizes, whose products BLAS threads on two cores and
+    # more; with more threads a product may split its sums by the core count
+    # and change their last bits, so the CLI pins one thread
+    (tmp_path / "cnn.cfg").write_text(PAPER_CNN_CONFIG, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC),
+                                         os.environ.get("PYTHONPATH", "")])
+    for out, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        proc = subprocess.run(
+            [sys.executable, "-m", "subner", "train",
+             "--train", str(synth_dir / "train.conll"), "--arch", "CNN",
+             "--tokenizer", f"wordpiece:{synth_dir / 'vocab.txt'}",
+             "--config", "cnn.cfg", "--out", out],
+            cwd=tmp_path, env=dict(env, **threads), capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("run.ckpt", "run.history.txt"):
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "one" / name).read_bytes(), name
 
 
 def write_word_segmentation(synth_dir, tmp_path, drop_last=False):

@@ -37,6 +37,29 @@ def test_parse_space_separated_line():
     assert exc.value.line_no == 1
 
 
+@pytest.mark.parametrize("word", ["ab\u00a0c", "\u2003ab", "ab\t", "a b", ""])
+def test_word_empty_or_with_whitespace_rejected_in_memory(word):
+    # whitespace as str.isspace has it, Unicode spaces included
+    with pytest.raises(ValueError) as exc:
+        LabeledSentence(("ok", word), ("O", "O"))
+    assert str(exc.value) == f"bad word {word!r}: empty or contains whitespace"
+
+
+@pytest.mark.parametrize("word", ["ab\u00a0c", "\u2003ab", "a\u3000b", ""])
+def test_parse_word_empty_or_with_whitespace_rejected(word):
+    line = f"{word}\tO"
+    with pytest.raises(MalformedLine) as exc:
+        parse_conll(f"ok\tO\n{line}\n")
+    assert str(exc.value) == f"line 2: bad word/tag pair {line!r}"
+
+
+def test_parse_tab_in_word_rejected():
+    # a tab splits the line into three fields
+    with pytest.raises(MalformedLine) as exc:
+        parse_conll("ok\tO\na\tb\tO\n")
+    assert str(exc.value) == "line 2: expected two tab-separated fields"
+
+
 def test_parse_no_trailing_blank():
     corpus = parse_conll("a\tO\nb\tO")
     assert len(corpus) == 1

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -231,6 +232,88 @@ def test_bilstm_grad_check():
     assert nn.grad_check(loss, arrays, analytic) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths", [[1], [7], [5, 2, 0, 4], [3, 9, 1, 9]])
+def test_bilstm_equals_two_sequential_lstms(dtype, lengths):
+    # the directions run on two threads; each must compute what it computes
+    # alone, bit for bit
+    rng = np.random.default_rng(23)
+    pf, pb = [tuple(a.astype(dtype) for a in nn.init_lstm_params(rng, 5, 6))
+              for _ in range(2)]
+    x = rng.normal(size=(sum(lengths), 5)).astype(dtype)
+    dy = rng.normal(size=(sum(lengths), 12)).astype(dtype)
+    out, cache = nn.bilstm_forward(x, pf, pb, lengths)
+    dx, gf, gb = nn.bilstm_backward(cache, dy)
+    h_fw, cache_fw = nn.lstm_forward(x, *pf, lengths=lengths)
+    h_bw, cache_bw = nn.lstm_forward(x, *pb, lengths=lengths, reverse=True)
+    dx_fw, *ef = nn.lstm_backward(cache_fw, dy[:, :6])
+    dx_bw, *eb = nn.lstm_backward(cache_bw, dy[:, 6:])
+    expected = (np.concatenate([h_fw, h_bw], axis=1), dx_fw + dx_bw, *ef, *eb)
+    for actual, wanted in zip((out, dx, *gf, *gb), expected, strict=True):
+        assert actual.dtype == dtype
+        assert np.array_equal(actual, wanted)
+
+
+def off_the_calling_thread(fn, exc):
+    """`fn`, raising `exc` instead when called on any thread but this one."""
+    caller = threading.get_ident()
+
+    def wrapped(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise exc
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def bilstm_case(rng, d=3, h=4, lengths=(3, 1, 4)):
+    pf, pb = nn.init_lstm_params(rng, d, h), nn.init_lstm_params(rng, d, h)
+    return rng.normal(size=(sum(lengths), d)), pf, pb, list(lengths)
+
+
+def test_bilstm_worker_shape_mismatch_reaches_the_caller():
+    x, pf, pb, lengths = bilstm_case(np.random.default_rng(24))
+    bad_bw = (np.zeros((4, 16)),) + pb[1:]  # W for 4 inputs, x has 3
+    with pytest.raises(ShapeMismatch) as exc:
+        nn.bilstm_forward(x, pf, bad_bw, lengths)
+    assert exc.type is ShapeMismatch
+    assert "lstm shapes disagree: x (8, 3), W (4, 16)" in str(exc.value)
+
+
+@pytest.mark.parametrize("layer", ["lstm_forward", "lstm_backward"])
+def test_bilstm_worker_memory_error_reaches_the_caller(monkeypatch, layer):
+    x, pf, pb, lengths = bilstm_case(np.random.default_rng(25))
+    _, cache = nn.bilstm_forward(x, pf, pb, lengths)
+    monkeypatch.setattr(nn, layer, off_the_calling_thread(
+        getattr(nn, layer), MemoryError("worker direction")))
+    with pytest.raises(MemoryError, match="worker direction") as exc:
+        if layer == "lstm_forward":
+            nn.bilstm_forward(x, pf, pb, lengths)
+        else:
+            nn.bilstm_backward(cache, np.ones((8, 8)))
+    assert exc.type is MemoryError
+
+
+def test_bilstm_worker_keeps_the_callers_error_state(monkeypatch):
+    # numpy's error state is a context variable, which a new thread does not
+    # inherit by itself
+    x, pf, pb, lengths = bilstm_case(np.random.default_rng(26))
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(np.geterr()["over"])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for layer in ("lstm_forward", "lstm_backward"):
+        monkeypatch.setattr(nn, layer, recording(getattr(nn, layer)))
+    assert np.geterr()["over"] != "raise"
+    with np.errstate(over="raise"):
+        _, cache = nn.bilstm_forward(x, pf, pb, lengths)
+        nn.bilstm_backward(cache, np.ones((8, 8)))
+    assert seen == ["raise"] * 4
+
+
 def test_sigmoid_saturates_without_warning():
     # exp(1000) overflows to inf, and 1 / (1 + inf) is exactly the limit 0;
     # tier-1 turns a RuntimeWarning into an error
@@ -396,6 +479,27 @@ def test_rmsprop_row_grad_matches_dense_step():
         assert np.array_equal(params["row"], params["dense"])
         assert np.array_equal(state.s["row"], state.s["dense"])
         assert np.array_equal(params["row"][untouched], before)
+
+
+@pytest.mark.parametrize("shape", [(5,), (40_000,), (7, 5000), (3, 300, 17),
+                                   (0, 4)])
+def test_rmsprop_blocked_step_equals_whole_array_step(monkeypatch, shape):
+    # the dense step runs in row blocks (2 rows of 5000 when the block is
+    # 10_000 elements); element by element it is the whole-array formula
+    monkeypatch.setattr(nn, "RMSPROP_BLOCK", 10_000)
+    rng = np.random.default_rng(27)
+    p = rng.normal(size=shape).astype(np.float32)
+    params = {"p": p.copy()}
+    state = nn.RmspropState(params, learning_rate=0.01)
+    s = np.zeros_like(p)
+    for _ in range(3):
+        g = rng.normal(size=shape).astype(np.float32)
+        nn.rmsprop_step(params, {"p": g}, state)
+        s *= nn.RHO
+        s += (1.0 - nn.RHO) * g * g
+        p -= 0.01 * g / (np.sqrt(s) + nn.EPSILON)
+        assert np.array_equal(state.s["p"], s)
+        assert np.array_equal(params["p"], p)
 
 
 def test_rmsprop_row_grad_decay_matches_eager_dense_step():
