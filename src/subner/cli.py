@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -27,9 +28,10 @@ from .errors import (
     LabelMismatch,
     MalformedLine,
     MissingSpecial,
+    NotUtf8,
     SubnerError,
 )
-from .util import atomic_write_text, dataclass_kwargs, parse_kv_file
+from .util import atomic_write_text, dataclass_kwargs, parse_kv_file, read_text
 
 EXIT_INPUT = 2
 EXIT_TRAIN = 3
@@ -37,8 +39,7 @@ EXIT_EVAL = 4
 
 
 def _read_corpus(path, split_name="unsplit"):
-    with open(path, "r", encoding="utf-8") as fh:
-        return corpus_mod.parse_conll(fh.read(), split_name)
+    return corpus_mod.parse_conll(read_text(path), split_name)
 
 
 def _configs_from_kv(kv, num_labels, seed_override=None):
@@ -147,8 +148,7 @@ def cmd_stats(args):
 
 
 def cmd_synth(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg, seed = corpus_mod.parse_synth_config(fh.read())
+    cfg, seed = corpus_mod.parse_synth_config(read_text(args.config))
     if args.seed is not None:
         seed = args.seed
     if seed is None:
@@ -259,8 +259,7 @@ def cmd_predict(args):
         raise SubnerError("externally segmented checkpoints cannot predict raw text")
     segmenter = tok_mod.VocabSegmenter(model.vocab, model.tokenizer_mode)
     strategy = ClubbingStrategy.parse(args.strategy)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [line.split() for line in fh]
+    lines = [line.split() for line in io.StringIO(read_text(args.input))]
     tagged = iter(taggers_mod.predict_encodings(
         model, [segmenter.encode(words) for words in lines if words], strategy))
     for words in lines:
@@ -533,7 +532,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MalformedLine, EmptyCorpus, DuplicateToken, MissingSpecial,
-            InvalidConfig, LabelMismatch) as exc:
+            InvalidConfig, LabelMismatch, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SubnerError as exc:

@@ -15,6 +15,16 @@ class EmptyCorpus(SubnerError):
     pass
 
 
+class NotUtf8(SubnerError):
+    """A text input file holds bytes that are not UTF-8."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        self.path = path
+        self.offset = exc.start
+        super().__init__(f"{path}: not UTF-8 at byte offset {exc.start} "
+                         f"(0x{exc.object[exc.start]:02x}: {exc.reason})")
+
+
 class InvalidConfig(SubnerError):
     pass
 

@@ -5,26 +5,50 @@ token id == zero-based line number, an `[UNK]` token, continuation pieces
 prefixed `##`, and any word longer than 100 characters segmented as `[UNK]`.
 Non-WordPiece tokenizers are supported through an import format for
 externally produced segmentations.
+
+A `Vocab` remembers the WordPiece split of each word it segments, so each
+distinct word runs the greedy matcher once per vocab; training, evaluation,
+prediction and fertility statistics over one vocab share that memo. Two
+threads segmenting through one vocab at worst compute a split twice.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
 from .corpus import LabeledCorpus
 from .errors import DuplicateToken, InvariantViolation, MissingSpecial
+from .util import read_text
 
 # the vocab format, shared by every vocab
 UNK_TOKEN = "[UNK]"
 CONTINUATION_PREFIX = "##"
 MAX_WORD_CHARS = 100
 
+# Words whose split one Vocab remembers; past this a word is split and not
+# stored, so a stream of ever new words (predict over open text) cannot grow
+# the memo without bound. An entry takes about 200 B (tracemalloc 203-205 B
+# over the bench's 5,400-word test split at seeds 1-3, 2.5 pieces a word,
+# keys shared with the corpus), so a full memo is about 13 MB. The bench
+# corpus's three splits hold 5,400 distinct words; the cap is 12 times that.
+MEMO_WORDS = 1 << 16
+
 
 @dataclass
 class Vocab:
+    """A token list and its id map, plus a memo of WordPiece splits: word ->
+    (pieces, ids), the pieces being this vocab's own token strings. The memo
+    fills as `segment_sentence` splits words (at most MEMO_WORDS of them,
+    each at most MAX_WORD_CHARS long) and takes no part in equality or repr.
+    It is a dict with no lock: two threads that miss the same word both
+    split it and store equal values, so at worst a split is computed
+    twice."""
     token_of: tuple[str, ...]
     id_of: dict[str, int] = field(init=False, repr=False)
+    memo: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.id_of = {}
@@ -89,8 +113,7 @@ class FertilityStats:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
     tokens = tuple(line.rstrip("\r") for line in lines)
@@ -133,23 +156,40 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[str]:
     return pieces
 
 
+def _split_word(word: str, vocab: Vocab):
+    """(pieces, ids) of `word` by `wordpiece_word`, stored in the vocab's
+    memo while it has room and the word is short enough to be matched."""
+    id_of, token_of = vocab.id_of, vocab.token_of
+    ids = tuple([id_of[piece] for piece in wordpiece_word(word, vocab)])
+    split = (tuple([token_of[i] for i in ids]), ids)
+    if len(word) <= MAX_WORD_CHARS and len(vocab.memo) < MEMO_WORDS:
+        vocab.memo[word] = split
+    return split
+
+
 def segment_sentence(words, vocab: Vocab, mode: str = "subword") -> SubwordEncoding:
     """Segment a word sequence. mode="word" is the identity segmentation
-    (one subtoken per word, OOV words mapped to the unk id)."""
-    subtokens, ids, word_ids = [], [], []
+    (one subtoken per word, OOV words mapped to the unk id); mode="subword"
+    splits each word by WordPiece, through the vocab's memo."""
     if mode == "word":
-        for widx, word in enumerate(words):
-            subtokens.append(word)
-            ids.append(vocab.id_of.get(word, vocab.unk_id))
-            word_ids.append(widx)
-    elif mode == "subword":
-        for widx, word in enumerate(words):
-            for piece in wordpiece_word(word, vocab):
-                subtokens.append(piece)
-                ids.append(vocab.id_of[piece])
-                word_ids.append(widx)
-    else:
+        words = tuple(words)
+        id_of, unk_id = vocab.id_of, vocab.id_of[UNK_TOKEN]
+        # a list first: tuple() of an iterator over-allocates and shrinks,
+        # which cost the bench's train-bilstm about 4 MB of peak RSS
+        ids = tuple([id_of.get(word, unk_id) for word in words])
+        return SubwordEncoding(words, ids, tuple(range(len(words))))
+    if mode != "subword":
         raise ValueError(f"unknown segmentation mode {mode!r}")
+    subtokens, ids, word_ids = [], [], []
+    remembered = vocab.memo.get
+    for widx, word in enumerate(words):
+        pieces, piece_ids = remembered(word) or _split_word(word, vocab)
+        subtokens += pieces
+        ids += piece_ids
+        if len(piece_ids) == 1:  # most words; spares a list per word
+            word_ids.append(widx)
+        else:
+            word_ids += [widx] * len(piece_ids)
     return SubwordEncoding(tuple(subtokens), tuple(ids), tuple(word_ids))
 
 
@@ -194,33 +234,32 @@ def load_external_segmentation(path) -> list[SubwordEncoding]:
     Ids and word ids must be JSON integers: not floats (`14.9`, or `1e309`,
     which reads as infinity), strings or booleans."""
     encodings = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for sentence_no, raw in enumerate(fh):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InvariantViolation(sentence_no, f"bad JSON: {exc}") from exc
-            try:
-                enc = SubwordEncoding(
-                    tuple(str(t) for t in record["subtokens"]),
-                    tuple(record["ids"]),
-                    tuple(record["word_ids"]),
-                )
-            except (KeyError, TypeError) as exc:
-                raise InvariantViolation(sentence_no, f"bad record: {exc}") from exc
-            for name, values in (("ids", enc.ids), ("word_ids", enc.word_ids)):
-                for v in values:
-                    if type(v) is not int:  # bool is a subclass of int
-                        raise InvariantViolation(
-                            sentence_no, f"{name} must be integers, got {v!r}")
-            if enc.word_ids and enc.word_ids[0] != 0:
-                raise InvariantViolation(sentence_no, "word_ids must start at 0")
-            if enc.ids and min(enc.ids) < 0:
-                raise InvariantViolation(sentence_no,
-                                         f"negative id {min(enc.ids)}")
-            encodings.append(enc.validate(sentence_no))
+    for sentence_no, raw in enumerate(io.StringIO(read_text(path))):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InvariantViolation(sentence_no, f"bad JSON: {exc}") from exc
+        try:
+            enc = SubwordEncoding(
+                tuple(str(t) for t in record["subtokens"]),
+                tuple(record["ids"]),
+                tuple(record["word_ids"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise InvariantViolation(sentence_no, f"bad record: {exc}") from exc
+        for name, values in (("ids", enc.ids), ("word_ids", enc.word_ids)):
+            for v in values:
+                if type(v) is not int:  # bool is a subclass of int
+                    raise InvariantViolation(
+                        sentence_no, f"{name} must be integers, got {v!r}")
+        if enc.word_ids and enc.word_ids[0] != 0:
+            raise InvariantViolation(sentence_no, "word_ids must start at 0")
+        if enc.ids and min(enc.ids) < 0:
+            raise InvariantViolation(sentence_no,
+                                     f"negative id {min(enc.ids)}")
+        encodings.append(enc.validate(sentence_no))
     return encodings
 
 

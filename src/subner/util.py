@@ -1,9 +1,23 @@
-"""Small shared helpers: flat key=value config parsing and atomic file writes."""
+"""Small shared helpers: text file reads, flat key=value config parsing and
+atomic file writes."""
 
 import dataclasses
 import os
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NotUtf8
+
+
+def read_text(path):
+    """The UTF-8 text of the file at `path`, with CRLF and lone CR line ends
+    read as LF, as text-mode `open` reads them. Bytes that are not UTF-8
+    raise NotUtf8 naming the file and the offset of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(path, exc) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_kv_text(text):
@@ -30,8 +44,7 @@ def parse_kv_text(text):
 
 
 def parse_kv_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv_text(fh.read())
+    return parse_kv_text(read_text(path))
 
 
 def parse_setting(key, value, parse):

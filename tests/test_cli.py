@@ -186,6 +186,33 @@ def test_tokenize_missing_vocab_exit_2(synth_dir, capsys):
     assert "does-not-exist.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["corpus", "vocab", "segmentation",
+                                    "config", "synth config", "predict input"])
+def test_non_utf8_input_names_file_and_offset_exit_2(synth_dir, tmp_path,
+                                                     capsys, request, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ab\tO\n\xff\n")
+    train = ["train", "--train", str(synth_dir / "train.conll"),
+             "--arch", "CNN", "--out", str(tmp_path / "out")]
+    if reader == "predict input":
+        out, _ = request.getfixturevalue("trained")
+        argv = ["predict", "--checkpoint", str(out / "cnn.ckpt"),
+                "--input", str(bad)]
+    else:
+        argv = {
+            "corpus": ["stats", "--input", str(bad)],
+            "vocab": ["tokenize", "--input", str(synth_dir / "train.conll"),
+                      "--tokenizer", f"wordpiece:{bad}"],
+            "segmentation": [*train, "--tokenizer", f"external:{bad}"],
+            "config": [*train, "--config", str(bad)],
+            "synth config": ["synth", "--config", str(bad),
+                             "--out", str(tmp_path / "out")],
+        }[reader]
+    assert main(argv) == 2
+    assert f"{bad}: not UTF-8 at byte offset 5 (0xff: invalid start byte)" \
+        in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from subner import tokenizers
 from subner.corpus import parse_conll
-from subner.errors import DuplicateToken, InvariantViolation, MissingSpecial
+from subner.errors import (DuplicateToken, InvariantViolation, MissingSpecial,
+                           NotUtf8)
 from subner.tokenizers import (
     PrecomputedSegmenter,
     SubwordEncoding,
@@ -154,6 +156,92 @@ def test_wordpiece_matches_brute_force():
         assert wordpiece_word(word, vocab) == brute_force_wordpiece(word, vocab)
 
 
+def brute_force_encoding(words, vocab):
+    """The sentence's encoding from brute_force_wordpiece, ids by position."""
+    pieces = [(widx, piece) for widx, word in enumerate(words)
+              for piece in brute_force_wordpiece(word, vocab)]
+    return SubwordEncoding(tuple(p for _, p in pieces),
+                           tuple(vocab.token_of.index(p) for _, p in pieces),
+                           tuple(w for w, _ in pieces))
+
+
+DEVANAGARI = str.maketrans("abc", "पुण")  # "c" is in no vocab: unknown
+
+
+def _random_sentence(rng):
+    """Words over "abc", repeated within the sentence, with now and then
+    one longer than MAX_WORD_CHARS."""
+    words = ["".join(rng.choice("abc" if rng.random() < 0.2 else "ab")
+                     for _ in range(rng.randint(1, 8)))
+             for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.2:
+        words.append("ab" * 50 + rng.choice("ab"))
+    return words + rng.sample(words, len(words) // 2)
+
+
+@pytest.mark.parametrize("script", ["latin", "devanagari"])
+def test_memo_pass_matches_a_fresh_vocab_and_brute_force(script):
+    rng = random.Random(17)
+    for _ in range(300):
+        vocab = _random_vocab(rng)
+        sentences = [_random_sentence(rng) for _ in range(4)]
+        if script == "devanagari":
+            vocab = Vocab(tuple(t if t.startswith("[") else t.translate(DEVANAGARI)
+                                for t in vocab.token_of))
+            sentences = [[w.translate(DEVANAGARI) for w in words]
+                         for words in sentences]
+        cold = [segment_sentence(words, vocab) for words in sentences]
+        memo_pass = [segment_sentence(words, vocab) for words in sentences]
+        fresh = [segment_sentence(words, Vocab(vocab.token_of))
+                 for words in sentences]
+        expected = [brute_force_encoding(words, vocab) for words in sentences]
+        assert cold == memo_pass == fresh == expected
+        for word, (pieces, ids) in vocab.memo.items():
+            assert len(word) <= tokenizers.MAX_WORD_CHARS
+            # pieces are the vocab's own strings, not copies
+            assert all(p is vocab.token_of[i] for p, i in zip(pieces, ids))
+        assert set(vocab.memo) == {w for words in sentences for w in words
+                                   if len(w) <= tokenizers.MAX_WORD_CHARS}
+
+
+def test_vocab_with_a_filled_memo_equals_a_fresh_one():
+    vocab = make_vocab("pu", "##ne", "पु", "##णे")
+    fresh = make_vocab("pu", "##ne", "पु", "##णे")
+    segment_sentence(["pune", "पुणे", "zz", "pune"], vocab)
+    assert len(vocab.memo) == 3
+    assert vocab == fresh
+    assert repr(vocab) == repr(fresh)
+
+
+def test_memo_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(tokenizers, "MEMO_WORDS", 3)
+    rng = random.Random(5)
+    vocab = _random_vocab(rng)
+    sentences = [_random_sentence(rng) for _ in range(40)]
+    firsts = list(dict.fromkeys(w for words in sentences for w in words
+                                if len(w) <= tokenizers.MAX_WORD_CHARS))
+    assert len(firsts) > 3
+    for _ in range(2):
+        for words in sentences:
+            assert segment_sentence(words, vocab) == \
+                brute_force_encoding(words, vocab)
+        assert list(vocab.memo) == firsts[:3]
+
+
+def test_word_mode_matches_a_lookup_per_word():
+    rng = random.Random(11)
+    vocab = build_word_vocab(parse_conll("a\tO\nab\tO\n[UNK]\tO\n\n"))
+    for _ in range(200):
+        words = [rng.choice(["a", "ab", "b", "[UNK]", "[PAD]", "पु"])
+                 for _ in range(rng.randint(0, 6))]
+        enc = segment_sentence(iter(words), vocab, "word")
+        assert enc.subtokens == tuple(words)
+        assert enc.ids == tuple(vocab.token_of.index(w)
+                                if w in vocab.token_of else 1 for w in words)
+        assert enc.word_ids == tuple(range(len(words)))
+    assert vocab.memo == {}
+
+
 def test_detokenization_property():
     rng = random.Random(13)
     for _ in range(500):
@@ -215,6 +303,15 @@ def test_fertility_counts_unk_by_id():
     expected = sum(1 for enc in encodings for start, end in enc.word_groups()
                    if end - start == 1 and enc.ids[start] == 1)
     assert encoding_fertility(encodings, 1).unk_words == expected
+
+
+@pytest.mark.parametrize("read", [load_vocab, load_external_segmentation])
+def test_non_utf8_file_names_itself(tmp_path, read):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"[UNK]\nab\n\xff\n")
+    with pytest.raises(NotUtf8, match=r"bad\.txt: not UTF-8 at byte offset 9 "
+                                      r"\(0xff"):
+        read(path)
 
 
 def _write_jsonl(path, records):

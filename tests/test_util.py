@@ -3,7 +3,8 @@ import os
 import pytest
 
 from subner import util
-from subner.util import atomic_write_bytes
+from subner.errors import NotUtf8
+from subner.util import atomic_write_bytes, parse_kv_file, read_text
 
 
 def test_atomic_write_ignores_a_stale_tmp_directory(tmp_path):
@@ -33,3 +34,21 @@ def test_atomic_write_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
         atomic_write_bytes(path, "not bytes")
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_read_text_reads_line_ends_as_text_mode_does(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\r\nपु\rb\n\nc".encode("utf-8"))
+    with open(path, "r", encoding="utf-8") as fh:
+        assert read_text(path) == fh.read() == "a\nपु\nb\n\nc"
+
+
+def test_parse_kv_file_names_a_non_utf8_file(tmp_path):
+    path = tmp_path / "settings.cfg"
+    good = "seed = 1\n# पु\nx = ".encode("utf-8")  # 22 bytes, 18 characters
+    path.write_bytes(good + b"\xc3(\n")
+    with pytest.raises(NotUtf8) as info:
+        parse_kv_file(path)
+    assert info.value.offset == 22
+    assert str(info.value) == (f"{path}: not UTF-8 at byte offset 22 "
+                               f"(0xc3: invalid continuation byte)")
