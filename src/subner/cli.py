@@ -6,7 +6,6 @@ Exit codes: 0 ok, 2 input/file errors, 3 training errors, 4 evaluation errors.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import io
 import json
@@ -489,40 +488,8 @@ def build_parser():
     return parser
 
 
-def _pin_blas_to_one_thread():
-    """Sets the OpenBLAS that numpy loaded to one thread, if one is found.
-
-    With more BLAS threads a matrix product may split its sums by the
-    host's core count, which changes their last bits, so artifacts would
-    depend on the host; and the BiLSTM already runs its two directions on
-    two threads (see `nn`). numpy is loaded before `main` runs, too late
-    for OPENBLAS_NUM_THREADS, so the library is found through
-    /proc/self/maps and set at run time. Does nothing where the maps or
-    the setter are missing."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _pin_blas_to_one_thread()
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -18,12 +18,13 @@ over the same batch and no row is copied. A sentence is the batch of one.
 
 The BiLSTM runs its backward direction on a one-worker thread pool made
 for the call, while the caller runs the forward one. numpy releases the
-GIL in its matrix products, so the two directions use two cores. Each
-direction computes exactly what it computes alone. The worker runs in a
-copy of the caller's context, where numpy keeps its error state, and
-`result()` re-raises its exception in the caller. Leaving the pool waits
-for the worker, so no thread outlives the call and the module keeps no
-process-wide state.
+GIL in its matrix products, so the two directions use two cores; the
+taggers run every layer with BLAS on one thread (`util.one_blas_thread`),
+so that is two threads, not four. Each direction computes exactly what it
+computes alone. The worker runs in a copy of the caller's context, where
+numpy keeps its error state, and `result()` re-raises its exception in
+the caller. Leaving the pool waits for the worker, so no thread outlives
+the call and the module keeps no process-wide state.
 
 Every backward pass is verifiable against central finite differences (see
 grad_check).

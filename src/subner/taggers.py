@@ -34,7 +34,7 @@ from .errors import (
 )
 from .metrics import token_confusion, token_metrics
 from .tokenizers import Vocab
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, one_blas_thread
 
 ARCHS = ("CNN", "LSTM", "BiLSTM")
 
@@ -252,7 +252,7 @@ def predict_encodings(model: TaggerModel, encodings,
                       strategy: ClubbingStrategy = ClubbingStrategy.FIRST):
     """(root-word labels, per-subtoken labels) of each encoding, in input
     order. Sentences are sorted by length and forwarded as packed blocks of
-    at most PREDICT_BLOCK_SUBTOKENS subtokens."""
+    at most PREDICT_BLOCK_SUBTOKENS subtokens, on one BLAS thread."""
     order = sorted(range(len(encodings)), key=lambda i: len(encodings[i].ids))
     blocks, block, size = [], [], 0
     for i in order:
@@ -265,18 +265,19 @@ def predict_encodings(model: TaggerModel, encodings,
     if block:
         blocks.append(block)
     out = [None] * len(encodings)
-    for block in blocks:
-        ids = [t for i in block for t in encodings[i].ids]
-        lengths = [len(encodings[i].ids) for i in block]
-        logits, _ = forward(model, ids, lengths)
-        pred_idx = logits.argmax(axis=1).tolist()  # ties: the lowest index
-        start = 0
-        for i, n in zip(block, lengths):
-            subtoken_tags = [model.labels.labels[j]
-                             for j in pred_idx[start:start + n]]
-            out[i] = (club_labels(subtoken_tags, encodings[i], strategy),
-                      subtoken_tags)
-            start += n
+    with one_blas_thread():
+        for block in blocks:
+            ids = [t for i in block for t in encodings[i].ids]
+            lengths = [len(encodings[i].ids) for i in block]
+            logits, _ = forward(model, ids, lengths)
+            pred_idx = logits.argmax(axis=1).tolist()  # ties: the lowest index
+            start = 0
+            for i, n in zip(block, lengths):
+                subtoken_tags = [model.labels.labels[j]
+                                 for j in pred_idx[start:start + n]]
+                out[i] = (club_labels(subtoken_tags, encodings[i], strategy),
+                          subtoken_tags)
+                start += n
     return out
 
 
@@ -329,7 +330,7 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     each batch's ids renumbered into it), which RMSProp's state and the
     best epoch's snapshot cover, and which is written back into the table
     before each validation and at the end. Every step computes in the
-    parameters' float32, the dtype a checkpoint stores.
+    parameters' float32, the dtype a checkpoint stores, on one BLAS thread.
 
     Raises EmptySplit when no training subtoken fits `max_len`, and
     NonFiniteLoss when a batch loss or a gradient norm is not finite, or an
@@ -366,56 +367,57 @@ def train(model: TaggerModel, train_corpus: LabeledCorpus,
     stale = 0
     n = len(train_rows)
     max_loss = DIVERGED_LOSS_FACTOR * math.log(len(model.labels))
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        nll_total = 0.0
-        positions = 0
-        for batch_start in range(0, n, config.batch_size):
-            batch_idx = order[batch_start:batch_start + config.batch_size]
-            batch = make_padded_batch([train_rows[i] for i in batch_idx],
-                                      config.max_len)
-            if epoch == 0:
-                history.truncated_rows += batch.truncated_rows
-            if batch.ids.size == 0:
-                continue
-            logits, cache = forward(work, np.searchsorted(used, batch.ids),
-                                    batch.lengths)
-            loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"epoch {epoch + 1}: batch loss is {loss}")
-            nll_total += loss * batch.ids.size
-            positions += batch.ids.size
-            grads = backward(work, cache, dlogits)
-            norm = _grad_norm(grads)
-            if not np.isfinite(norm):
+    with one_blas_thread():
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(n)
+            nll_total = 0.0
+            positions = 0
+            for batch_start in range(0, n, config.batch_size):
+                batch_idx = order[batch_start:batch_start + config.batch_size]
+                batch = make_padded_batch([train_rows[i] for i in batch_idx],
+                                          config.max_len)
+                if epoch == 0:
+                    history.truncated_rows += batch.truncated_rows
+                if batch.ids.size == 0:
+                    continue
+                logits, cache = forward(work, np.searchsorted(used, batch.ids),
+                                        batch.lengths)
+                loss, dlogits = nn.masked_softmax_ce(logits, batch.label_indices)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"epoch {epoch + 1}: batch loss is {loss}")
+                nll_total += loss * batch.ids.size
+                positions += batch.ids.size
+                grads = backward(work, cache, dlogits)
+                norm = _grad_norm(grads)
+                if not np.isfinite(norm):
+                    raise NonFiniteLoss(
+                        f"epoch {epoch + 1}: gradient norm is {norm}")
+                nn.rmsprop_step(work.params, grads, state)
+            if positions == 0:
+                raise EmptySplit(f"no training subtoken fits max_len = {config.max_len}")
+            mean_loss = nll_total / positions
+            if mean_loss > max_loss:
                 raise NonFiniteLoss(
-                    f"epoch {epoch + 1}: gradient norm is {norm}")
-            nn.rmsprop_step(work.params, grads, state)
-        if positions == 0:
-            raise EmptySplit(f"no training subtoken fits max_len = {config.max_len}")
-        mean_loss = nll_total / positions
-        if mean_loss > max_loss:
-            raise NonFiniteLoss(
-                f"epoch {epoch + 1}: mean train loss {mean_loss:.6g} exceeds "
-                f"{DIVERGED_LOSS_FACTOR} x ln({len(model.labels)}) = "
-                f"{max_loss:.6g}; training diverged")
-        history.train_loss.append(mean_loss)
-        f1 = None
-        if val_encodings is not None:
-            embed[used] = work.params["embed"]
-            f1 = _val_macro_f1(model, val_encodings, val_tags, config.strategy)
-            if f1 > best_f1:
-                best_f1 = f1
-                best_params = {k: v.copy() for k, v in work.params.items()}
-                history.best_epoch = epoch + 1
-                stale = 0
-            else:
-                stale += 1
-        history.val_macro_f1.append(f1)
-        history.seconds.append(time.perf_counter() - t0)
-        if stale >= config.patience:  # only a validation split goes stale
-            break
+                    f"epoch {epoch + 1}: mean train loss {mean_loss:.6g} exceeds "
+                    f"{DIVERGED_LOSS_FACTOR} x ln({len(model.labels)}) = "
+                    f"{max_loss:.6g}; training diverged")
+            history.train_loss.append(mean_loss)
+            f1 = None
+            if val_encodings is not None:
+                embed[used] = work.params["embed"]
+                f1 = _val_macro_f1(model, val_encodings, val_tags, config.strategy)
+                if f1 > best_f1:
+                    best_f1 = f1
+                    best_params = {k: v.copy() for k, v in work.params.items()}
+                    history.best_epoch = epoch + 1
+                    stale = 0
+                else:
+                    stale += 1
+            history.val_macro_f1.append(f1)
+            history.seconds.append(time.perf_counter() - t0)
+            if stale >= config.patience:  # only a validation split goes stale
+                break
     params = work.params if best_params is None else best_params
     embed[used] = params["embed"]
     model.params.update(params, embed=embed)

@@ -116,8 +116,7 @@ def load_vocab(path) -> Vocab:
     lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
-    tokens = tuple(line.rstrip("\r") for line in lines)
-    return Vocab(tokens)
+    return Vocab(tuple(lines))
 
 
 def build_word_vocab(corpus: LabeledCorpus) -> Vocab:
@@ -231,8 +230,9 @@ def encoding_fertility(encodings, unk_id: int) -> FertilityStats:
 def load_external_segmentation(path) -> list[SubwordEncoding]:
     """Load line-delimited JSON records {subtokens, ids, word_ids}, one
     sentence per line, validating the encoding invariants per sentence.
-    Ids and word ids must be JSON integers: not floats (`14.9`, or `1e309`,
-    which reads as infinity), strings or booleans."""
+    Subtokens must be a JSON list of strings. Ids and word ids must be JSON
+    integers: not floats (`14.9`, or `1e309`, which reads as infinity),
+    strings or booleans."""
     encodings = []
     for sentence_no, raw in enumerate(io.StringIO(read_text(path))):
         if not raw.strip():
@@ -243,12 +243,16 @@ def load_external_segmentation(path) -> list[SubwordEncoding]:
             raise InvariantViolation(sentence_no, f"bad JSON: {exc}") from exc
         try:
             enc = SubwordEncoding(
-                tuple(str(t) for t in record["subtokens"]),
+                tuple(record["subtokens"]),
                 tuple(record["ids"]),
                 tuple(record["word_ids"]),
             )
         except (KeyError, TypeError) as exc:
             raise InvariantViolation(sentence_no, f"bad record: {exc}") from exc
+        if (type(record["subtokens"]) is not list  # not a string's letters
+                or not all(type(t) is str for t in enc.subtokens)):
+            raise InvariantViolation(sentence_no, f"subtokens must be a list "
+                                     f"of strings, got {record['subtokens']!r}")
         for name, values in (("ids", enc.ids), ("word_ids", enc.word_ids)):
             for v in values:
                 if type(v) is not int:  # bool is a subclass of int

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subner import nn
+from subner import nn, taggers
 from subner.alignment import ClubbingStrategy
 from subner.cli import build_parser, main
+from subner.corpus import build_label_set, parse_conll
 from subner.taggers import Hyperparams, TrainConfig
-from subner.tokenizers import load_vocab
+from subner.tokenizers import VocabSegmenter, load_vocab
+from subner.util import one_blas_thread
 
 SYNTH_CONFIG = """
 classes = NEL, NEP
@@ -337,10 +339,6 @@ def test_predict(trained, tmp_path, capsys):
 @pytest.mark.parametrize("arch", ["CNN", "BiLSTM"])
 def test_predict_matches_per_line_tagging(arch, synth_dir, tmp_path, capsys,
                                           monkeypatch):
-    from subner import taggers
-    from subner.corpus import build_label_set, parse_conll
-    from subner.tokenizers import VocabSegmenter, load_vocab
-
     train = parse_conll((synth_dir / "train.conll").read_text(), "train")
     test = parse_conll((synth_dir / "test.conll").read_text(), "test")
     labels = build_label_set(train)
@@ -724,7 +722,6 @@ def test_train_nothing_fits_max_len_exit_3(tmp_path, capsys):
 def test_train_out_blocked_by_a_file_exit_2_before_training(
         synth_dir, tmp_path, capsys, monkeypatch, below):
     # before, every epoch trained and only then did the write fail
-    from subner import taggers
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n", encoding="utf-8")
     out = blocker / below if below else blocker
@@ -853,10 +850,51 @@ def test_train_checkpoint_does_not_depend_on_blas_threads(synth_dir, tmp_path):
             (tmp_path / "one" / name).read_bytes(), name
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: BLAS runs one thread either way")
+def test_library_train_does_not_depend_on_blas_threads(synth_dir,
+                                                       blas_threads):
+    # the test above's CNN, trained in-process: once at two BLAS threads
+    # (the host default on two cores), once inside the one-thread scope
+    corpus = parse_conll((synth_dir / "train.conll").read_text(), "train")
+    labels = build_label_set(corpus)
+    vocab = load_vocab(synth_dir / "vocab.txt")
+
+    def train_paper_cnn():
+        model = taggers.build_model("CNN", Hyperparams(num_labels=len(labels)),
+                                    vocab, labels, seed=5)
+        config = TrainConfig(epochs=2, batch_size=16, max_len=128, seed=5)
+        return taggers.train(model, corpus, None,
+                             VocabSegmenter(vocab, "subword"), config)[0]
+
+    assert blas_threads() == 2
+    default = train_paper_cnn()
+    with one_blas_thread():
+        one = train_paper_cnn()
+    for name, value in default.params.items():
+        assert value.tobytes() == one.params[name].tobytes(), name
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_main_leaves_the_callers_blas_thread_count(synth_dir, tmp_path,
+                                                  blas_threads, command):
+    (tmp_path / "train.cfg").write_text(
+        TRAIN_CONFIG.replace("epochs = 6", "epochs = 1"), encoding="utf-8")
+    argv = {
+        "stats": ["stats", "--input", str(synth_dir / "train.conll")],
+        "train": ["train", "--train", str(synth_dir / "train.conll"),
+                  "--val", str(synth_dir / "validation.conll"),
+                  "--arch", "CNN", "--config", str(tmp_path / "train.cfg"),
+                  "--out", str(tmp_path / "run")],
+    }[command]
+    before = blas_threads()
+    assert main(argv) == 0
+    assert blas_threads() == before
+
+
 def write_word_segmentation(synth_dir, tmp_path, drop_last=False):
     """External segmentations equivalent to word-mode ids, one JSONL file
     per split; `drop_last` leaves each file one sentence short."""
-    from subner.corpus import parse_conll
     from subner.tokenizers import build_word_vocab, segment_sentence
 
     corpora = {name: parse_conll((synth_dir / f"{name}.conll").read_text(), name)
@@ -975,6 +1013,27 @@ def test_non_integer_segmentation_id_exit_2(synth_dir, tmp_path, trained,
     ])
     assert code == 2
     assert f"test.jsonl: {error}" in capsys.readouterr().err
+
+
+def test_string_segmentation_subtokens_exit_2(synth_dir, tmp_path, capsys):
+    # one letter per id, so a string's letters would pass as subtokens
+    write_word_segmentation(synth_dir, tmp_path)
+    path = tmp_path / "train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["subtokens"] = "x" * len(record["ids"])
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "ext"
+    code = main([
+        "train", "--train", str(synth_dir / "train.conll"),
+        "--arch", "CNN", "--tokenizer", f"external:{path}",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert (f"train.jsonl: sentence 0: subtokens must be a list of strings, "
+            f"got {record['subtokens']!r}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["training", "validation"])

@@ -25,6 +25,7 @@ from subner.corpus import (
 from subner.errors import (
     CorruptCheckpoint,
     EmptySplit,
+    IdOutOfRange,
     InvalidHyper,
     LabelMismatch,
     NonFiniteLoss,
@@ -49,7 +50,8 @@ from subner.taggers import (
     save_checkpoint,
     train,
 )
-from subner.tokenizers import Vocab, VocabSegmenter, build_word_vocab
+from subner.tokenizers import (SubwordEncoding, Vocab, VocabSegmenter,
+                                build_word_vocab)
 
 TOY = "\n".join([
     "pune\tB-NEL\nis\tO\nbig\tO\n",
@@ -347,6 +349,25 @@ def test_train_rejects_empty_validation_split(toy):
     with pytest.raises(EmptySplit, match="empty validation split"):
         train(model, corpus, LabeledCorpus((), "validation"), seg,
               TrainConfig(epochs=1))
+
+
+def test_train_and_predict_restore_the_blas_thread_count_when_they_raise(
+        blas_threads):
+    # the first word takes 2 subtokens, so max_len = 1 keeps none: the
+    # epoch loop, inside the one-thread scope, raises
+    corpus = parse_conll("pune\tB-NEL\nmadhye\tO\n\n", "train")
+    labels = build_label_set(corpus)
+    vocab = Vocab(("[UNK]", "pu", "##ne", "madhye"))
+    model = build_model("CNN", small_hyper(len(labels)), vocab, labels, 0)
+    before = blas_threads()
+    with pytest.raises(EmptySplit, match="no training subtoken fits"):
+        train(model, corpus, None, VocabSegmenter(vocab, "subword"),
+              TrainConfig(epochs=1, max_len=1))
+    assert blas_threads() == before
+    outside = SubwordEncoding(("x",), (len(vocab),), (0,))
+    with pytest.raises(IdOutOfRange):
+        taggers.predict_encodings(model, [outside])
+    assert blas_threads() == before
 
 
 @pytest.mark.parametrize("arch", ARCHS)

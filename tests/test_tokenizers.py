@@ -63,6 +63,13 @@ def test_load_vocab_line_numbers(tmp_path):
     assert vocab.id_of["[UNK]"] == 1
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_load_vocab_reads_crlf_and_cr_line_ends_as_lf(tmp_path, end):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(end.join(["[PAD]", "[UNK]", "ab", "##cd", ""]).encode())
+    assert load_vocab(path).token_of == ("[PAD]", "[UNK]", "ab", "##cd")
+
+
 def test_load_vocab_duplicate(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("[PAD]\n[UNK]\nx\na\nb\nc\nx\n", encoding="utf-8")
@@ -371,6 +378,22 @@ def test_load_external_segmentation_rejects_non_integers(tmp_path, field,
     with pytest.raises(InvariantViolation,
                        match=f"sentence 0: {field} must be integers"):
         load_external_segmentation(path)
+
+
+@pytest.mark.parametrize("record, shown", [
+    ({"subtokens": "abc", "ids": [1, 2, 3], "word_ids": [0, 0, 0]}, "'abc'"),
+    ({"subtokens": [7, None], "ids": [1, 2], "word_ids": [0, 1]},
+     "[7, None]"),
+])
+def test_load_external_segmentation_rejects_non_string_subtokens(
+        tmp_path, record, shown):
+    path = tmp_path / "seg.jsonl"
+    _write_jsonl(path, [{"subtokens": ["a"], "ids": [1], "word_ids": [0]},
+                        record])
+    with pytest.raises(InvariantViolation) as info:
+        load_external_segmentation(path)
+    assert str(info.value) == \
+        f"sentence 1: subtokens must be a list of strings, got {shown}"
 
 
 def test_precomputed_segmenter_looks_up_by_sentence():

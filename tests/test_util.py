@@ -52,3 +52,16 @@ def test_parse_kv_file_names_a_non_utf8_file(tmp_path):
     assert info.value.offset == 22
     assert str(info.value) == (f"{path}: not UTF-8 at byte offset 22 "
                                f"(0xc3: invalid continuation byte)")
+
+
+def test_one_blas_thread_sets_one_and_restores_the_count(blas_threads):
+    before = blas_threads()
+    assert before == 2
+    with pytest.raises(KeyError):
+        with util.one_blas_thread():
+            assert blas_threads() == 1
+            with util.one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+            raise KeyError("in the block")
+    assert blas_threads() == before
